@@ -214,8 +214,9 @@ def condition_report(
 ) -> dict:
     """Per-condition pass/fail of the spectral criterion on the built code.
 
-    Runs the full (v1, v2) sweep once, tracking the three conditions
-    separately.  A clean sweep on all three certifies minimality.
+    Runs :func:`spectral_check` once in per-condition mode: the built
+    spectra are weight-symmetric, so a code clean on all three conditions
+    is certified by the orbit pre-check, and a violated one is swept.
     """
     if spec is None:
         spec = build_spec(p)

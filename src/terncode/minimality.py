@@ -25,9 +25,24 @@ Three independent certifiers:
 * ``ashikhmin_barg``: the classical sufficient ratio test, in cross-
   multiplied integers.
 
-The sweep is vectorized over v2 in fixed-size v1 blocks and can shard
-v1 ranges across worker processes; scan order (and therefore the first
-witness reported) is independent of the worker count.
+``spectral_sweep`` evaluates the criterion on all 3^(2m) pairs (v1, v2).
+It is vectorized over v2 in fixed-size v1 blocks and can shard v1 ranges
+across worker processes; scan order (and therefore the first witness
+reported) and the check count are independent of the worker count.
+
+``spectral_check`` first runs an orbit pre-check.  When every family
+spectrum is constant on Hamming-weight classes (the shell construction of
+:mod:`terncode.hwconstruct` defines f and g through wt(x) only), each
+condition depends on (v1, v2) only through its orbit under the monomial
+group, i.e. the composition (n0, na, nb, nc, nd) of m into the coordinate
+types (0,0), (x,0), (0,y), (x,x), (x,-x) -- the classes of the ternary
+Hamming association scheme.  The weights are linear in the composition:
+wt(v1) = na+nc+nd, wt(v2) = nb+nc+nd, wt(v1+v2) = wt(v3) = na+nb+nc and
+wt(v1-v2) = na+nb+nd, and v1 = v2 exactly when na = nb = nd = 0.  So the
+C(m+4, 4) compositions decide the criterion (495 at m = 8, against 3^16
+pairs).  If no orbit violates a condition, the verdict is the one a clean
+sweep reports, check count included; otherwise, or when the spectra are
+not weight-symmetric, the sweep runs unchanged and supplies the witnesses.
 """
 
 from __future__ import annotations
@@ -35,6 +50,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError  # not the builtin before 3.11
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,8 +235,8 @@ def _build_ctx(m: int, rd_by_name: dict[str, np.ndarray]) -> dict:
 
 
 def _scan_chunk(ctx: dict, start: int, end: int, mode: str, needed: tuple[str, ...],
-                cap: int) -> tuple[list[tuple], int]:
-    """Scan v1 in [start, end); return raw witness tuples and the check count.
+                cap: int) -> tuple[list[tuple], dict[str, int]]:
+    """Scan v1 in [start, end); return raw witness tuples and checks per condition.
 
     Scan order is fixed: v1 blocks ascending; within a block the triple
     conditions (family order, "triple-minus" then "triple-plus") before
@@ -232,7 +248,7 @@ def _scan_chunk(ctx: dict, start: int, end: int, mode: str, needed: tuple[str, .
     J = np.arange(total)
     need = set(needed)
     out: list[tuple] = []
-    checks = 0
+    checks = dict.fromkeys(needed, 0)
 
     def take(hits: np.ndarray, v1_arr: np.ndarray, maker, label: str) -> bool:
         """Append hits; return True when this chunk is done scanning."""
@@ -265,7 +281,7 @@ def _scan_chunk(ctx: dict, start: int, end: int, mode: str, needed: tuple[str, .
                 base = A[v1][:, None] + A[None, :]
                 a_v3 = A[i_v3]
                 if "triple-minus" in need:
-                    checks += n_masked
+                    checks["triple-minus"] += n_masked
                     done = take(
                         ((base - 2 * a_v3) == target) & mask, v1,
                         lambda r, c, _n=name: ("triple-minus", _n, r, int(c), int(i_v3[r - b0, c])),
@@ -274,7 +290,7 @@ def _scan_chunk(ctx: dict, start: int, end: int, mode: str, needed: tuple[str, .
                     if done:
                         return out, checks
                 if "triple-plus" in need:
-                    checks += n_masked
+                    checks["triple-plus"] += n_masked
                     done = take(
                         ((base + a_v3) == target) & mask, v1,
                         lambda r, c, _n=name: ("triple-plus", _n, r, int(c), int(i_v3[r - b0, c])),
@@ -286,7 +302,7 @@ def _scan_chunk(ctx: dict, start: int, end: int, mode: str, needed: tuple[str, .
             for f1, f2, sum_key, diff_key in PAIR_ALGEBRA:
                 S = rds[sum_key][i_add] + rds[diff_key][i_sub]
                 S += rd[f2][None, :] - 2 * rd[f1][v1][:, None]
-                checks += S.size
+                checks["mixed-pair"] += S.size
                 done = take(
                     S == target, v1,
                     lambda r, c, _a=f1, _b=f2: ("mixed-pair", _a, _b, r, int(c)),
@@ -305,7 +321,7 @@ def _init_worker(m: int, rd_by_name: dict[str, np.ndarray]) -> None:
     _WORKER_CTX = _build_ctx(m, rd_by_name)
 
 
-def _chunk_task(args: tuple) -> tuple[list[tuple], int]:
+def _chunk_task(args: tuple) -> tuple[list[tuple], dict[str, int]]:
     start, end, mode, needed, cap = args
     assert _WORKER_CTX is not None
     return _scan_chunk(_WORKER_CTX, start, end, mode, needed, cap)
@@ -340,7 +356,14 @@ def _raw_to_witness(m: int, raw: tuple) -> SpectralWitness:
     return SpectralWitness("mixed-pair", (f1, f2), (v1, v2), pair)
 
 
-def spectral_check(
+def _over_budget(done_chunks: int, n_chunks: int) -> CapacityError:
+    return CapacityError(
+        f"budget exceeded after {done_chunks}/{n_chunks} chunks",
+        completed_fraction=done_chunks / n_chunks,
+    )
+
+
+def spectral_sweep(
     spec: CodeSpec,
     *,
     exhaustive: bool = False,
@@ -349,15 +372,15 @@ def spectral_check(
     processes: int | None = None,
     budget_seconds: float | None = None,
 ) -> MinimalityVerdict:
-    """Evaluate the exact spectral minimality criterion.
+    """Evaluate the exact spectral criterion on every pair (v1, v2).
 
     Default mode stops at the first violation; ``per_condition`` keeps
     scanning until each of the three conditions has either a witness or a
     clean sweep (used by the per-condition reports); ``exhaustive``
     collects up to ``max_witnesses`` violations.  ``budget_seconds`` caps
     wall-clock time and raises :class:`CapacityError` carrying the
-    completed fraction.  Results are deterministic for fixed inputs
-    regardless of ``processes``.
+    completed fraction.  Witnesses and the check count are deterministic
+    for fixed inputs regardless of ``processes``.
     """
     m = spec.m
     rd_by_name = {name: spec.spectra[name].rd for name in FAMILY_NAMES}
@@ -377,9 +400,14 @@ def spectral_check(
     checks = 0
     satisfied: set[str] = set()
 
-    def absorb(chunk_raws: list[tuple]) -> bool:
-        """Merge one chunk's hits; return True when scanning may stop."""
+    def absorb(chunk_raws: list[tuple], chunk_checks: dict[str, int]) -> bool:
+        """Merge one chunk's hits; return True when scanning may stop.
+
+        A pooled chunk may scan a condition an earlier chunk already
+        satisfied; its checks count only toward conditions still open.
+        """
         nonlocal checks
+        checks += sum(n for cond, n in chunk_checks.items() if cond not in satisfied)
         for raw in chunk_raws:
             if mode == "per-condition":
                 if raw[0] in satisfied:
@@ -396,18 +424,11 @@ def spectral_check(
 
     if n_proc <= 1 or len(chunks) <= 1:
         ctx = _build_ctx(m, rd_by_name)
-        done_chunks = 0
-        for start, end in chunks:
+        for done_chunks, (start, end) in enumerate(chunks):
             if deadline is not None and time.monotonic() >= deadline:
-                raise CapacityError(
-                    f"budget exceeded after {done_chunks}/{len(chunks)} chunks",
-                    completed_fraction=done_chunks / len(chunks),
-                )
+                raise _over_budget(done_chunks, len(chunks))
             scan_needed = tuple(c for c in needed if c not in satisfied)
-            chunk_raws, n = _scan_chunk(ctx, start, end, mode, scan_needed, cap)
-            checks += n
-            done_chunks += 1
-            if absorb(chunk_raws):
+            if absorb(*_scan_chunk(ctx, start, end, mode, scan_needed, cap)):
                 break
     else:
         with ProcessPoolExecutor(
@@ -417,25 +438,16 @@ def spectral_check(
                 pool.submit(_chunk_task, (start, end, mode, needed, cap))
                 for start, end in chunks
             ]
-            done_chunks = 0
             try:
-                for fut in futures:
+                for done_chunks, fut in enumerate(futures):
                     remaining = None if deadline is None else deadline - time.monotonic()
                     if remaining is not None and remaining <= 0:
-                        raise CapacityError(
-                            f"budget exceeded after {done_chunks}/{len(chunks)} chunks",
-                            completed_fraction=done_chunks / len(chunks),
-                        )
+                        raise _over_budget(done_chunks, len(chunks))
                     try:
-                        chunk_raws, n = fut.result(timeout=remaining)
-                    except TimeoutError:
-                        raise CapacityError(
-                            f"budget exceeded after {done_chunks}/{len(chunks)} chunks",
-                            completed_fraction=done_chunks / len(chunks),
-                        ) from None
-                    checks += n
-                    done_chunks += 1
-                    if absorb(chunk_raws):
+                        result = fut.result(timeout=remaining)
+                    except FutureTimeoutError:
+                        raise _over_budget(done_chunks, len(chunks)) from None
+                    if absorb(*result):
                         break
             finally:
                 for fut in futures:
@@ -443,6 +455,83 @@ def spectral_check(
 
     witnesses = [_raw_to_witness(m, raw) for raw in raws[:cap]]
     return MinimalityVerdict(not witnesses, "spectral", witnesses, checks)
+
+
+# ---------------------------------------------------------------------------
+# Orbit pre-check for weight-symmetric spectra
+# ---------------------------------------------------------------------------
+
+
+def orbit_violations(spec: CodeSpec) -> set[str] | None:
+    """The conditions some (v1, v2) orbit violates, or None if the spectra
+    are not all constant on Hamming-weight classes.
+
+    Evaluates the same three conditions as :func:`spectral_sweep`, once
+    per composition (n0, na, nb, nc, nd) of m (see the module docstring).
+    """
+    m = spec.m
+    weights = gf3.weights_table(m)
+    rd_w = {}
+    for name in FAMILY_NAMES:
+        rd = spec.spectra[name].rd
+        rd_w[name] = np.zeros(m + 1, dtype=rd.dtype)
+        rd_w[name][weights] = rd  # keeps one value per class; the gather below finds any other
+        if not np.array_equal(rd_w[name][weights], rd):
+            return None
+    comps = np.indices((m + 1,) * 4).reshape(4, -1)
+    na, nb, nc, nd = comps[:, comps.sum(axis=0) <= m]  # n0 is the remainder
+    w1, w2 = na + nc + nd, nb + nc + nd
+    w_sum, w_diff = na + nb + nc, na + nb + nd  # wt(v3) = wt(v1+v2)
+    distinct = (na + nb + nd) > 0  # v1 = v2 (= v3) exactly when na = nb = nd = 0
+    target = 2 * gf3.pow3(m)
+    violated = set()
+    for name in FAMILY_NAMES:
+        A = rd_w[name]
+        base = A[w1] + A[w2]
+        if np.any(distinct & (base - 2 * A[w_sum] == target)):
+            violated.add("triple-minus")
+        if np.any(distinct & (base + A[w_sum] == target)):
+            violated.add("triple-plus")
+    # RD(-F, w) = RD(F, -w) and wt(-w) = wt(w): the signs of PAIR_ALGEBRA drop out
+    for f1, f2, (sum_name, _), (diff_name, _) in PAIR_ALGEBRA:
+        S = rd_w[sum_name][w_sum] + rd_w[diff_name][w_diff] - 2 * rd_w[f1][w1] + rd_w[f2][w2]
+        if np.any(S == target):
+            violated.add("mixed-pair")
+    return violated
+
+
+def spectral_check(
+    spec: CodeSpec,
+    *,
+    exhaustive: bool = False,
+    per_condition: bool = False,
+    max_witnesses: int = 1000,
+    processes: int | None = None,
+    budget_seconds: float | None = None,
+) -> MinimalityVerdict:
+    """Evaluate the exact spectral minimality criterion.
+
+    Same arguments and result as :func:`spectral_sweep`.  When the orbit
+    pre-check finds weight-symmetric spectra and no violated orbit, the
+    clean verdict is returned at once, with the check count of a clean
+    sweep (8*(3^2m - 3^m) + 12*3^2m in every mode); otherwise the sweep
+    runs on what is left of ``budget_seconds``.
+    """
+    started = time.monotonic()
+    clean = orbit_violations(spec) == set()
+    if budget_seconds is not None:
+        budget_seconds -= time.monotonic() - started
+    if clean and (budget_seconds is None or budget_seconds > 0):
+        total = gf3.pow3(spec.m)
+        return MinimalityVerdict(True, "spectral", [], 8 * (total * total - total) + 12 * total * total)
+    return spectral_sweep(
+        spec,
+        exhaustive=exhaustive,
+        per_condition=per_condition,
+        max_witnesses=max_witnesses,
+        processes=processes,
+        budget_seconds=budget_seconds,
+    )
 
 
 def confirm_witness(spec: CodeSpec, witness) -> bool:

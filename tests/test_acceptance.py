@@ -29,6 +29,7 @@ from terncode.minimality import (
     confirm_witness,
     is_minimal_bruteforce,
     spectral_check,
+    spectral_sweep,
 )
 from terncode.spectrum import (
     TernaryFunction,
@@ -124,11 +125,20 @@ def test_criterion_3_minimality_cross_oracle():
 
 @pytest.mark.slow
 def test_criterion_4_spectral_certification_at_full_scale():
+    # the generic sweep, not the orbit pre-check that condition_report uses
     t0 = time.time()
     p = HWParams(9, 2, 4)
     spec = build_spec(p)
-    report = condition_report(p, spec=spec)
+    verdict = spectral_sweep(spec, per_condition=True)
     elapsed = time.time() - t0
+    violated = {w.condition for w in verdict.witnesses}
+    report = {
+        "triple_minus": "triple-minus" not in violated,
+        "triple_plus": "triple-plus" not in violated,
+        "mixed_pair": "mixed-pair" not in violated,
+        "minimal": verdict.minimal,
+        "checks": verdict.checks,
+    }
     assert report["minimal"] is True
     assert report["triple_minus"] is True
     assert report["triple_plus"] is True
@@ -137,6 +147,7 @@ def test_criterion_4_spectral_certification_at_full_scale():
     mixed_checks = 12 * gf3.pow3(9) ** 2  # 12 ordered pairs x 3^18 vector pairs
     assert report["checks"] == triple_checks + mixed_checks == 7748252316
     assert elapsed < 900.0
+    assert condition_report(p, spec=spec) == report
     _report(
         4, True,
         f"zero violations over {report['checks']:,} checks at (9, 2, 4); "

@@ -180,6 +180,23 @@ def test_minimality_budget_exit_code(capsys, pair3):
     assert obj["completed_fraction"] == 0.0
 
 
+@pytest.mark.parametrize("extra", [[], ["--exhaustive"]])
+def test_minimality_orbit_path_stdout_matches_sweep(capsys, tmp_path, monkeypatch, extra):
+    from conftest import shell_spec
+    from terncode import minimality
+
+    spec = shell_spec(5, 2, 4)  # weight-symmetric and minimal: certified by the orbit pre-check
+    fp = tmp_path / "f5.txt"
+    gp = tmp_path / "g5.txt"
+    fp.write_text(spec.f.to_text())
+    gp.write_text(spec.g.to_text())
+    argv = ["minimality", "--f", str(fp), "--g", str(gp), *extra]
+    orbit = run(capsys, *argv)
+    assert orbit[0] == 0
+    monkeypatch.setattr(minimality, "spectral_check", minimality.spectral_sweep)
+    assert run(capsys, *argv) == orbit
+
+
 def test_minimality_oracle_capacity(capsys, tmp_path):
     # the brute-force oracle refuses m > 5
     from terncode.hwconstruct import HWParams, build_fg

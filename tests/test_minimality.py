@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terncode import gf3
-from terncode.code import all_codewords_matrix
+from terncode.code import all_codewords_matrix, validate
 from terncode.errors import CapacityError
 from terncode.minimality import (
     PAIR_ALGEBRA,
@@ -12,11 +12,15 @@ from terncode.minimality import (
     confirm_witness,
     covers,
     is_minimal_bruteforce,
+    orbit_violations,
     spectral_check,
+    spectral_sweep,
 )
 from terncode.spectrum import TernaryFunction, combine
 
-from conftest import random_valid_spec
+from conftest import random_valid_spec, random_weight_symmetric_spec, shell_spec, weight_symmetric_spec
+
+MODES = ({}, {"per_condition": True}, {"exhaustive": True, "max_witnesses": 50})
 
 words3 = st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=12)
 
@@ -133,20 +137,24 @@ def test_spectral_exhaustive_and_per_condition_modes():
 
 
 def test_spectral_determinism_across_process_counts():
-    rng = np.random.default_rng(55)
-    spec = random_valid_spec(3, rng)
-    v1 = spectral_check(spec, processes=1)
-    v2 = spectral_check(spec, processes=2)
-    assert v1.minimal == v2.minimal
-    assert v1.witnesses == v2.witnesses
-    assert v1.checks == v2.checks
+    # m = 6 spans two scheduling chunks, so processes=2 drives the pool
+    specs = (
+        random_valid_spec(6, np.random.default_rng(55)),
+        # functions of wt(x) with only mixed-pair violated: later chunks rescan it
+        weight_symmetric_spec(6, [0, 2, 0, 2, 1, 1, 1], [0, 2, 0, 0, 1, 1, 1]),
+    )
+    for spec in specs:
+        for mode in MODES:
+            v1 = spectral_check(spec, processes=1, **mode)
+            v2 = spectral_check(spec, processes=2, **mode)
+            assert v1.to_json_obj() == v2.to_json_obj()
 
 
 def test_spectral_budget():
-    spec = random_valid_spec(4, np.random.default_rng(9))
-    with pytest.raises(CapacityError) as exc:
-        spectral_check(spec, budget_seconds=0.0, processes=1)
-    assert exc.value.completed_fraction == 0.0
+    for spec in (random_valid_spec(4, np.random.default_rng(9)), shell_spec(5, 2, 4)):
+        with pytest.raises(CapacityError) as exc:
+            spectral_check(spec, budget_seconds=0.0, processes=1)
+        assert exc.value.completed_fraction == 0.0
 
 
 @settings(deadline=None, max_examples=20)
@@ -192,3 +200,46 @@ def test_spectral_parallel_path_determinism_with_witness():
     assert serial.minimal is False and parallel.minimal is False
     assert serial.witnesses == parallel.witnesses
     assert confirm_witness(spec, serial.witnesses[0])
+
+
+def test_orbit_precheck_agrees_with_sweep():
+    rng = np.random.default_rng(12)
+    specs = [random_weight_symmetric_spec(m, rng) for m in range(2, 8) for _ in range(6 if m < 7 else 2)]
+    # minimal pairs that an orbit check taking wt(v1-v2) as wt(v1+v2) would reject
+    specs += [
+        weight_symmetric_spec(6, [0, 1, 2, 2, 0, 0, 0], [0, 1, 1, 0, 0, 0, 2]),
+        weight_symmetric_spec(7, [0, 0, 2, 0, 2, 0, 0, 1], [0, 1, 0, 1, 1, 0, 0, 1]),
+    ]
+    minimal = 0
+    for spec in specs:
+        swept = spectral_sweep(spec, per_condition=True, processes=1)
+        assert orbit_violations(spec) == {w.condition for w in swept.witnesses}
+        minimal += swept.minimal
+        for mode in MODES:
+            # a clean sweep scans every pair, so it is the same in every mode
+            expected = swept if swept.minimal else spectral_sweep(spec, processes=1, **mode)
+            assert spectral_check(spec, processes=1, **mode).to_json_obj() == expected.to_json_obj()
+    assert 2 < minimal < len(specs)
+
+
+@pytest.mark.parametrize("m", [7, 8])
+def test_orbit_precheck_certifies_shell_codes(m):
+    spec = shell_spec(m, 2, 4)
+    assert orbit_violations(spec) == set()
+    swept = spectral_sweep(spec, per_condition=True).to_json_obj()
+    assert swept["minimal"] is True
+    for mode in MODES:
+        assert spectral_check(spec, **mode).to_json_obj() == swept
+
+
+def test_scrambled_shell_is_not_weight_symmetric():
+    # (f o A, g o A) for an invertible non-monomial A: an equivalent code
+    # whose spectra are no longer constant on weight classes
+    m = 5
+    shell = shell_spec(m, 2, 4)
+    a = np.array([[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
+    digits = gf3.digits_table(m).astype(np.int64)
+    perm = ((a @ digits) % 3 * 3 ** np.arange(m)[:, None]).sum(axis=0)
+    scrambled = validate(m, TernaryFunction(m, shell.f.table[perm]), TernaryFunction(m, shell.g.table[perm]))
+    assert orbit_violations(scrambled) is None
+    assert spectral_check(scrambled).to_json_obj() == spectral_check(shell).to_json_obj()
