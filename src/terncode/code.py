@@ -19,6 +19,15 @@ codeword c(u, r, v) is F_hat at the shift -s*v (s the sign), so
 and the coordinate-value counts are the spectrum counts at that shift
 (with N1/N2 swapped when s = -1, and the x = 0 coordinate, always of
 value 0, removed from N0).
+
+The enumerators need only multisets over v, and v -> -s*v is a bijection
+of F_3^m, so the multiset of (N0, N1, N2) at the shifts -s*v equals the
+multiset of (N0, N1, N2)(w) over all w.  Hence each family member is
+aggregated once, with no shift permutation: its multiset of rd values
+counts twice in the weight distribution (signs +1 and -1), and each of
+its (N0 - 1, N1, N2) terms enters the CWE once as is (sign +1) and once
+with N1/N2 swapped (sign -1).  Either enumerator costs about one sort of
+3^m integer keys per member.
 """
 
 from __future__ import annotations
@@ -189,21 +198,21 @@ class CompleteWeightEnumerator:
 
 
 def weight_distribution(spec: CodeSpec) -> WeightDistribution:
-    """Aggregate weights over all (u, r, v) from the four spectra."""
+    """Aggregate weights over all (u, r, v) from the four spectra.
+
+    One ``unique`` of rd per family member, counted once per sign.
+    """
     m = spec.m
     total = gf3.pow3(m)
     entries: dict[int, int] = {0: 1}
     entries[2 * 3 ** (m - 1)] = entries.get(2 * 3 ** (m - 1), 0) + total - 1
-    neg = gf3.neg_perm(m)
-    for (_u, _r), (name, sign) in UR_TO_FAMILY.items():
-        rd = spec.spectra[name].rd
-        rd = rd[neg] if sign > 0 else rd
-        if (rd % 3).any():
+    for name in FAMILY_NAMES:
+        values, counts = np.unique(spec.spectra[name].rd, return_counts=True)
+        if (values % 3).any():
             raise ConsistencyError("doubled real part not divisible by 3")
-        weights = 2 * 3 ** (m - 1) - rd // 3
-        values, counts = np.unique(weights, return_counts=True)
-        for w, c in zip(values, counts):
-            entries[int(w)] = entries.get(int(w), 0) + int(c)
+        for value, c in zip(values.tolist(), counts.tolist()):
+            w = 2 * 3 ** (m - 1) - value // 3
+            entries[w] = entries.get(w, 0) + 2 * c
     dist = WeightDistribution(entries)
     if dist.total() != spec.codeword_count:
         raise ConsistencyError("weight distribution does not cover 3^(m+2) codewords")
@@ -213,30 +222,34 @@ def weight_distribution(spec: CodeSpec) -> WeightDistribution:
 
 
 def cwe(spec: CodeSpec) -> CompleteWeightEnumerator:
-    """Complete weight enumerator aggregated from the four spectra."""
+    """Complete weight enumerator aggregated from the four spectra.
+
+    One ``unique`` of 1-D (N1, N2) keys per family member; each distinct
+    count pair gives the sign +1 term and, with N1/N2 swapped, the sign -1
+    term.
+    """
     m = spec.m
     total = gf3.pow3(m)
     terms: dict[tuple[int, int, int], int] = {(total - 1, 0, 0): 1}
     simplex = (3 ** (m - 1) - 1, 3 ** (m - 1), 3 ** (m - 1))
     terms[simplex] = terms.get(simplex, 0) + total - 1
-    neg = gf3.neg_perm(m)
-    for (_u, _r), (name, sign) in UR_TO_FAMILY.items():
+    # N1, N2 <= 3^m, so key = N1*(3^m + 1) + N2 < (3^m + 1)^2 <= 1.9e15 < 2^63
+    # for m <= MAX_M = 16.  t0 is implied: N0 = 3^m - N1 - N2 (CountSpectrum
+    # enforces the sum), less the x = 0 coordinate, always of value 0.
+    base = total + 1
+    for name in FAMILY_NAMES:
         sp = spec.spectra[name]
-        if sign > 0:
-            n0, n1, n2 = sp.n0[neg], sp.n1[neg], sp.n2[neg]
-        else:
-            n0, n1, n2 = sp.n0, sp.n2, sp.n1
-        # x = 0 always contributes value 0 (family members vanish at 0)
-        triples = np.stack([n0 - 1, n1, n2], axis=1)
-        rows, counts = np.unique(triples, axis=0, return_counts=True)
-        for row, c in zip(rows, counts):
-            key = (int(row[0]), int(row[1]), int(row[2]))
-            terms[key] = terms.get(key, 0) + int(c)
+        keys, counts = np.unique(sp.n1 * base + sp.n2, return_counts=True)
+        n1, n2 = np.divmod(keys, base)
+        for t1, t2, c in zip(n1.tolist(), n2.tolist(), counts.tolist()):
+            t0 = total - 1 - t1 - t2
+            for key in ((t0, t1, t2), (t0, t2, t1)):
+                terms[key] = terms.get(key, 0) + c
     result = CompleteWeightEnumerator(terms)
     if result.total() != spec.codeword_count:
         raise ConsistencyError("CWE multiplicities do not cover 3^(m+2) codewords")
-    if any(t0 + t1 + t2 != total - 1 for (t0, t1, t2) in terms):
-        raise ConsistencyError("CWE exponent triple does not sum to 3^m - 1")
+    if any(min(t) < 0 or sum(t) != total - 1 for t in terms):
+        raise ConsistencyError("CWE exponent triple is negative or does not sum to 3^m - 1")
     return result
 
 

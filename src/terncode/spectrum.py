@@ -135,7 +135,7 @@ class TernaryFunction:
         return cls(m, np.frombuffer(lines[1].encode(), dtype=np.uint8) - ord("0"))
 
     def to_text(self) -> str:
-        return f"m={self.m}\n" + "".join(chr(ord("0") + int(t)) for t in self.table) + "\n"
+        return f"m={self.m}\n" + (self.table + ord("0")).astype(np.uint8).tobytes().decode() + "\n"
 
     # -- pointwise algebra ----------------------------------------------
 
@@ -221,39 +221,43 @@ class CountSpectrum:
         return cls(m, a + n2, b + n2, n2)
 
 
-def real_doubled(spectrum: CountSpectrum, w: int) -> int:
-    return spectrum.real_doubled(w)
-
-
 # ---------------------------------------------------------------------------
 # Transforms
 # ---------------------------------------------------------------------------
 
 # zeta^v as (a, b) pairs, indexed by the function value v
-_ZETA_A = np.array([1, 0, -1], dtype=np.int64)
-_ZETA_B = np.array([0, 1, -1], dtype=np.int64)
+_ZETA_A = np.array([1, 0, -1], dtype=np.int32)
+_ZETA_B = np.array([0, 1, -1], dtype=np.int32)
+
+# After k butterfly axes every entry is a sum of 3^k units zeta^j, so
+# |a|, |b| <= 3^k <= 3^m; inside axis k + 1 (k <= m - 1) the largest
+# intermediate is a0 + (b1 - a1) - b2, at most 4*3^(m-1) < 2^31 for m <= 19.
+assert 4 * 3 ** (gf3.MAX_M - 1) < 2**31, "int32 butterfly overflows at MAX_M"
 
 
 def fast_count_spectrum(F: TernaryFunction) -> CountSpectrum:
-    """Radix-3 decimation butterfly over Z[zeta_3]; O(m * 3^m) ring ops."""
+    """Radix-3 decimation butterfly over Z[zeta_3]; O(m * 3^m) ring ops, int32."""
     m = F.m
-    shape = (3,) * m
-    A = _ZETA_A[F.table].reshape(shape)
-    B = _ZETA_B[F.table].reshape(shape)
+    A = _ZETA_A[F.table]
+    B = _ZETA_B[F.table]
     for ax in range(m):
-        Am = np.moveaxis(A, ax, 0)
-        Bm = np.moveaxis(B, ax, 0)
-        a0, a1, a2 = Am[0].copy(), Am[1].copy(), Am[2].copy()
-        b0, b1, b2 = Bm[0].copy(), Bm[1].copy(), Bm[2].copy()
+        # middle index = digit ax of the shift (little-endian base-3 index)
+        a = A.reshape(-1, 3, 3**ax)
+        b = B.reshape(-1, 3, 3**ax)
+        a0, a1, a2 = a[:, 0], a[:, 1], a[:, 2]
+        b0, b1, b2 = b[:, 0], b[:, 1], b[:, 2]
         # length-3 sub-transform out[k] = y0 + zeta^(-k) y1 + zeta^(-2k) y2,
         # with zeta*(a,b) = (-b, a-b) and zeta^2*(a,b) = (b-a, -a)
-        Am[0] = a0 + a1 + a2
-        Bm[0] = b0 + b1 + b2
-        Am[1] = a0 + (b1 - a1) - b2
-        Bm[1] = b0 - a1 + (a2 - b2)
-        Am[2] = a0 - b1 + (b2 - a2)
-        Bm[2] = b0 + (a1 - b1) - a2
-    return CountSpectrum.from_transform_pair(m, A.reshape(-1), B.reshape(-1))
+        A, B = np.empty_like(a), np.empty_like(b)
+        A[:, 0] = a0 + a1 + a2
+        B[:, 0] = b0 + b1 + b2
+        A[:, 1] = a0 + (b1 - a1) - b2
+        B[:, 1] = b0 - a1 + (a2 - b2)
+        A[:, 2] = a0 - b1 + (b2 - a2)
+        B[:, 2] = b0 + (a1 - b1) - a2
+    return CountSpectrum.from_transform_pair(
+        m, A.reshape(-1).astype(np.int64), B.reshape(-1).astype(np.int64)
+    )
 
 
 def naive_count_spectrum(F: TernaryFunction) -> CountSpectrum:
@@ -273,15 +277,6 @@ def transform(F: TernaryFunction, method: str = "fast") -> CountSpectrum:
     if method == "naive":
         return naive_count_spectrum(F)
     raise ValueError(f"unknown transform method {method!r}")
-
-
-def is_linear_coset_free(F: TernaryFunction) -> bool:
-    """True iff F coincides with no linear functional w . x.
-
-    Coincidence at w is equivalent to Re(F_hat(w)) = 3^m, i.e. a doubled
-    real part of 2*3^m.
-    """
-    return bool(np.all(fast_count_spectrum(F).rd != 2 * gf3.pow3(F.m)))
 
 
 def parseval_sum(spectrum: CountSpectrum) -> int:

@@ -46,3 +46,16 @@ def shell_spec(m: int, k1: int, k2: int) -> CodeSpec:
     f = [int(1 <= i <= k2 and i != k1) for i in range(m + 1)]
     g = [1 if k1 <= i < k2 else 2 if i == k2 else 0 for i in range(m + 1)]
     return weight_symmetric_spec(m, f, g)
+
+
+def scrambled_spec(spec: CodeSpec, a: np.ndarray) -> CodeSpec:
+    """The code of (f o A, g o A) for an invertible m x m matrix A over F_3.
+
+    It is permutation-equivalent to ``spec`` (same weights, CWE and
+    minimality), but for a non-monomial A its spectra are no longer
+    constant on Hamming-weight classes.
+    """
+    m = spec.m
+    digits = gf3.digits_table(m).astype(np.int64)
+    perm = ((a @ digits) % 3 * 3 ** np.arange(m)[:, None]).sum(axis=0)
+    return validate(m, TernaryFunction(m, spec.f.table[perm]), TernaryFunction(m, spec.g.table[perm]))

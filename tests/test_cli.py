@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -109,6 +110,30 @@ def test_weights_and_cwe_on_stored_pair(capsys, pair3):
     assert rc == 0
     obj = json.loads(out)
     assert sum(c for *_, c in obj["cwe"]) == 3**5
+
+
+# sha256 of the JSON stdout of `weights`/`cwe` on the (m, 2, 4) shell pair,
+# pinned from the gather-based enumerators these replaced
+ENUM_JSON_SHA256 = {
+    (9, "weights"): "bba97926b2ca3cac5d3673e9781c81dac0c7c1191815415bc34d07aac0bd9341",
+    (9, "cwe"): "d083f6c57be3749b4a034f743f3500654ed2376aa8efcac4be895d5b7147e794",
+    (12, "weights"): "b1ac4d59ef7a537388404cc6fb61f3e8e78d02430c188310722ff10536f52106",
+    (12, "cwe"): "c57560532c2cef77a966f01c8a6500ee7eb2b720be7f35023cbf36063f04f2c3",
+}
+
+
+@pytest.mark.parametrize("m, formats", [(9, ("json", "csv", "text")), (12, ("json",))])
+def test_enumerator_stdout_matches_closed_form_and_pinned_bytes(capsys, tmp_path, m, formats):
+    fpath, gpath = str(tmp_path / "f.txt"), str(tmp_path / "g.txt")
+    shell = ("--m", str(m), "--k1", "2", "--k2", "4")
+    run(capsys, "construct", *shell, "--emit", "fg", "--out-f", fpath, "--out-g", gpath)
+    for cmd in ("weights", "cwe"):
+        for fmt in formats:
+            rc, out = run(capsys, cmd, "--f", fpath, "--g", gpath, "--format", fmt)
+            assert rc == 0
+            assert out == run(capsys, "construct", *shell, "--emit", cmd, "--format", fmt)[1]
+            if fmt == "json":
+                assert hashlib.sha256(out.encode()).hexdigest() == ENUM_JSON_SHA256[(m, cmd)]
 
 
 def test_m_mismatch_is_domain_error(capsys, pair3):

@@ -19,7 +19,7 @@ from terncode.code import (
 from terncode.errors import CapacityError, ValidationError
 from terncode.spectrum import TernaryFunction, combine
 
-from conftest import random_valid_spec
+from conftest import random_valid_spec, scrambled_spec, shell_spec
 
 
 def test_ur_family_table_is_the_function_algebra():
@@ -168,16 +168,37 @@ def test_cwe_invariants_and_marginal():
         assert enum.terms[simplex] >= gf3.pow3(m) - 1
 
 
+def _materialized_cwe(spec) -> dict[tuple[int, int, int], int]:
+    words, _ = all_codewords_matrix(spec)
+    direct: dict[tuple[int, int, int], int] = {}
+    for row in words:
+        key = tuple(int(np.count_nonzero(row == lam)) for lam in range(3))
+        direct[key] = direct.get(key, 0) + 1
+    return direct
+
+
 def test_cwe_matches_materialization():
     rng = np.random.default_rng(10)
-    for m in (2, 3):
+    for m in (2, 3, 4, 5):
         spec = random_valid_spec(m, rng)
-        words, _ = all_codewords_matrix(spec)
-        direct: dict[tuple[int, int, int], int] = {}
-        for row in words:
-            key = tuple(int(np.count_nonzero(row == lam)) for lam in range(3))
-            direct[key] = direct.get(key, 0) + 1
-        assert direct == cwe(spec).terms
+        assert _materialized_cwe(spec) == cwe(spec).terms
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_enumerators_match_materialization_on_scrambled_shell(m):
+    a = np.eye(m, dtype=np.int64)
+    a[0, 1] = a[1, 2] = 1
+    spec = scrambled_spec(shell_spec(m, 2, 4), a)
+    # no member's (N1, N2) multiset is swap-symmetric, so an enumerator that
+    # mishandled the N1/N2 swap of the sign -1 terms would disagree
+    for sp in spec.spectra.values():
+        assert sorted(zip(sp.n1.tolist(), sp.n2.tolist())) != sorted(zip(sp.n2.tolist(), sp.n1.tolist()))
+    direct = _materialized_cwe(spec)
+    assert cwe(spec).terms == direct
+    weights: dict[int, int] = {}
+    for (_t0, t1, t2), c in direct.items():
+        weights[t1 + t2] = weights.get(t1 + t2, 0) + c
+    assert weight_distribution(spec).entries == weights
 
 
 def test_serialization_round_trip():

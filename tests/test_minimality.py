@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terncode import gf3
-from terncode.code import all_codewords_matrix, validate
+from terncode.code import all_codewords_matrix
 from terncode.errors import CapacityError
 from terncode.minimality import (
     PAIR_ALGEBRA,
@@ -18,7 +18,13 @@ from terncode.minimality import (
 )
 from terncode.spectrum import TernaryFunction, combine
 
-from conftest import random_valid_spec, random_weight_symmetric_spec, shell_spec, weight_symmetric_spec
+from conftest import (
+    random_valid_spec,
+    random_weight_symmetric_spec,
+    scrambled_spec,
+    shell_spec,
+    weight_symmetric_spec,
+)
 
 MODES = ({}, {"per_condition": True}, {"exhaustive": True, "max_witnesses": 50})
 
@@ -238,8 +244,6 @@ def test_scrambled_shell_is_not_weight_symmetric():
     m = 5
     shell = shell_spec(m, 2, 4)
     a = np.array([[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
-    digits = gf3.digits_table(m).astype(np.int64)
-    perm = ((a @ digits) % 3 * 3 ** np.arange(m)[:, None]).sum(axis=0)
-    scrambled = validate(m, TernaryFunction(m, shell.f.table[perm]), TernaryFunction(m, shell.g.table[perm]))
+    scrambled = scrambled_spec(shell, a)
     assert orbit_violations(scrambled) is None
     assert spectral_check(scrambled).to_json_obj() == spectral_check(shell).to_json_obj()

@@ -12,7 +12,6 @@ from terncode.spectrum import (
     TernaryFunction,
     combine,
     fast_count_spectrum,
-    is_linear_coset_free,
     naive_count_spectrum,
     parseval_sum,
     transform,
@@ -66,6 +65,13 @@ def test_text_round_trip():
     assert again == F
     with pytest.raises(ValueError):
         TernaryFunction.from_text("m=2\n0120\n")
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_to_text_matches_per_trit_loop(m):
+    F = TernaryFunction.random(m, np.random.default_rng(m), zero_at_origin=False)
+    expected = f"m={m}\n" + "".join(chr(ord("0") + int(t)) for t in F.table) + "\n"
+    assert F.to_text() == expected
 
 
 def test_linear_function_values():
@@ -153,11 +159,15 @@ def test_count_reconstruction_and_divisibility():
 
 
 def test_is_linear_coset_free():
-    assert not is_linear_coset_free(TernaryFunction.linear(3, 1))  # a coordinate projection
-    assert not is_linear_coset_free(TernaryFunction.zeros(3))  # the zero functional
+    # F equals the functional w . x exactly where its doubled real part is 2*3^m
+    def linear_coset_free(F):
+        return bool(np.all(fast_count_spectrum(F).rd != 2 * gf3.pow3(F.m)))
+
+    assert not linear_coset_free(TernaryFunction.linear(3, 1))  # a coordinate projection
+    assert not linear_coset_free(TernaryFunction.zeros(3))  # the zero functional
     table = np.zeros(27, dtype=np.int8)
     table[13] = 1  # a single bump cannot be linear
-    assert is_linear_coset_free(TernaryFunction(3, table))
+    assert linear_coset_free(TernaryFunction(3, table))
 
 
 def test_character_sums_over_spheres_match_krawtchouk():
