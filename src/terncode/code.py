@@ -32,7 +32,6 @@ with N1/N2 swapped (sign -1).  Either enumerator costs about one sort of
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -337,10 +336,6 @@ def result_json_obj(
     if cwe_terms is not None:
         obj["cwe"] = [[t0, t1, t2, c] for (t0, t1, t2), c in cwe_terms.sorted_items()]
     return obj
-
-
-def result_json(m: int, **kwargs) -> str:
-    return json.dumps(result_json_obj(m, **kwargs), indent=2)
 
 
 def weights_csv(weights: WeightDistribution) -> str:

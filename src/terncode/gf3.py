@@ -5,14 +5,13 @@ A vector in F_3^m is identified with its base-3 index (little endian:
 order of F_3^m used by every other module: code coordinates run over the
 nonzero indices 1 .. 3^m - 1 in ascending order.
 
-Bulk sweeps never touch :class:`TritVector`; they use the cached dense
-lookup tables below (per-index digits, Hamming weights, negation and
-pairwise add/sub permutations), all plain numpy arrays.
+Bulk work uses the cached dense lookup tables below (per-index digits,
+Hamming weights, negation and pairwise add/sub permutations), all plain
+numpy arrays; the scalar index helpers serve witnesses and tests.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 
@@ -157,73 +156,8 @@ def dot_index(m: int, i: int, j: int) -> int:
     return int((digs[:, i].astype(np.int64) * digs[:, j]).sum() % 3)
 
 
-def weight_index(m: int, i: int) -> int:
-    return int(weights_table(m)[i])
-
-
 def count_vectors_of_weight(m: int, i: int) -> int:
     """Number of vectors of Hamming weight i in F_3^m: 2^i * C(m, i)."""
     if not 0 <= i <= m:
         return 0
     return 2**i * comb(m, i)
-
-
-# ---------------------------------------------------------------------------
-# TritVector: the convenience value type
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TritVector:
-    """An element of F_3^m with digits in little-endian order."""
-
-    m: int
-    digits: tuple[int, ...]
-
-    def __post_init__(self):
-        check_dimension(self.m)
-        if len(self.digits) != self.m:
-            raise ValueError(f"expected {self.m} digits, got {len(self.digits)}")
-        if any(d not in (0, 1, 2) for d in self.digits):
-            raise ValueError(f"digits must lie in {{0,1,2}}: {self.digits}")
-
-    @property
-    def index(self) -> int:
-        return sum(d * 3**i for i, d in enumerate(self.digits))
-
-    def hamming_weight(self) -> int:
-        return sum(1 for d in self.digits if d != 0)
-
-
-def index_to_vector(idx: int, m: int) -> TritVector:
-    check_dimension(m)
-    if not 0 <= idx < pow3(m):
-        raise ValueError(f"index {idx} out of range [0, 3^{m})")
-    return TritVector(m, tuple((idx // 3**i) % 3 for i in range(m)))
-
-
-def vector_to_index(v: TritVector) -> int:
-    return v.index
-
-
-def _require_same_dim(a: TritVector, b: TritVector) -> None:
-    if a.m != b.m:
-        raise ValueError(f"dimension mismatch: {a.m} vs {b.m}")
-
-
-def dot(a: TritVector, b: TritVector) -> int:
-    _require_same_dim(a, b)
-    return sum(x * y for x, y in zip(a.digits, b.digits)) % 3
-
-
-def vec_add(a: TritVector, b: TritVector) -> TritVector:
-    _require_same_dim(a, b)
-    return TritVector(a.m, tuple((x + y) % 3 for x, y in zip(a.digits, b.digits)))
-
-
-def vec_neg(a: TritVector) -> TritVector:
-    return TritVector(a.m, tuple((-x) % 3 for x in a.digits))
-
-
-def hamming_weight(a: TritVector) -> int:
-    return a.hamming_weight()

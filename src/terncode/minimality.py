@@ -26,9 +26,14 @@ Three independent certifiers:
   multiplied integers.
 
 ``spectral_sweep`` evaluates the criterion on all 3^(2m) pairs (v1, v2).
-It is vectorized over v2 in fixed-size v1 blocks and can shard v1 ranges
-across worker processes; scan order (and therefore the first witness
-reported) and the check count are independent of the worker count.
+It is vectorized over v2 in fixed-size v1 blocks, and v1 is cut into
+chunks that one driver loop consumes in order.  The loop keeps at most
+one chunk per worker in flight: with one process a queued chunk is
+scanned inline when it is taken, with several it runs in a process
+pool.  A chunk is queued with the conditions still open at that moment,
+so chunks queued after a condition is satisfied skip it.  Scan order
+(and therefore the first witness reported) and the check count are
+independent of the worker count.
 
 ``spectral_check`` first runs an orbit pre-check.  When every family
 spectrum is constant on Hamming-weight classes (the shell construction of
@@ -49,6 +54,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError  # not the builtin before 3.11
 from dataclasses import dataclass, field
@@ -58,8 +64,6 @@ import numpy as np
 from . import gf3
 from .code import FAMILY_NAMES, FAMILY_TO_UR, CodeSpec, all_codewords_matrix, materialize
 from .errors import CapacityError, ConsistencyError
-
-THREADS_ENV_VAR = "TERNCODE_THREADS"
 
 _BLOCK = 64  # fixed v1 block height; must not vary with the worker count
 _CHUNK = 512  # v1 rows per scheduled chunk
@@ -328,13 +332,7 @@ def _chunk_task(args: tuple) -> tuple[list[tuple], dict[str, int]]:
 
 
 def _resolve_processes(processes: int | None) -> int:
-    if processes is None or processes == 0:
-        env = os.environ.get(THREADS_ENV_VAR, "")
-        if env.strip():
-            processes = int(env)
-        else:
-            processes = os.cpu_count() or 1
-    return max(1, int(processes))
+    return max(1, int(processes or os.cpu_count() or 1))
 
 
 def _raw_to_witness(m: int, raw: tuple) -> SpectralWitness:
@@ -379,21 +377,24 @@ def spectral_sweep(
     clean sweep (used by the per-condition reports); ``exhaustive``
     collects up to ``max_witnesses`` violations.  ``budget_seconds`` caps
     wall-clock time and raises :class:`CapacityError` carrying the
-    completed fraction.  Witnesses and the check count are deterministic
-    for fixed inputs regardless of ``processes``.
+    completed fraction; no chunk is queued after the deadline, but the call
+    still waits for the chunks in flight, at most one per worker.
+    ``processes`` (None or 0: the CPU count) sets the number of workers;
+    witnesses and the check count are deterministic for fixed inputs
+    regardless of it.
     """
     m = spec.m
     rd_by_name = {name: spec.spectra[name].rd for name in FAMILY_NAMES}
     if exhaustive:
-        mode, needed, cap = "exhaustive", ALL_CONDITIONS, max_witnesses
+        mode, cap = "exhaustive", max_witnesses
     elif per_condition:
-        mode, needed, cap = "per-condition", ALL_CONDITIONS, 3
+        mode, cap = "per-condition", 3
     else:
-        mode, needed, cap = "first", ALL_CONDITIONS, 1
+        mode, cap = "first", 1
 
     total = gf3.pow3(m)
     chunks = [(s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK)]
-    n_proc = _resolve_processes(processes)
+    n_proc = min(_resolve_processes(processes), len(chunks))
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
 
     raws: list[tuple] = []
@@ -403,8 +404,8 @@ def spectral_sweep(
     def absorb(chunk_raws: list[tuple], chunk_checks: dict[str, int]) -> bool:
         """Merge one chunk's hits; return True when scanning may stop.
 
-        A pooled chunk may scan a condition an earlier chunk already
-        satisfied; its checks count only toward conditions still open.
+        A chunk queued before a condition was satisfied still scans it;
+        its checks count only toward conditions still open.
         """
         nonlocal checks
         checks += sum(n for cond, n in chunk_checks.items() if cond not in satisfied)
@@ -422,36 +423,34 @@ def spectral_sweep(
             return True
         return False
 
-    if n_proc <= 1 or len(chunks) <= 1:
-        ctx = _build_ctx(m, rd_by_name)
-        for done_chunks, (start, end) in enumerate(chunks):
-            if deadline is not None and time.monotonic() >= deadline:
+    # One loop for both cases: at most n_proc chunks in flight, each built
+    # when queued, so it scans only the conditions still open then.
+    ctx = _build_ctx(m, rd_by_name) if n_proc == 1 else None
+    pool = None if n_proc == 1 else ProcessPoolExecutor(
+        n_proc, initializer=_init_worker, initargs=(m, rd_by_name)
+    )
+    queued: deque = deque()
+    try:
+        for done_chunks in range(len(chunks)):
+            remaining = None if deadline is None else deadline - time.monotonic()
+            if remaining is not None and remaining <= 0:
                 raise _over_budget(done_chunks, len(chunks))
-            scan_needed = tuple(c for c in needed if c not in satisfied)
-            if absorb(*_scan_chunk(ctx, start, end, mode, scan_needed, cap)):
+            for start, end in chunks[done_chunks + len(queued) : done_chunks + n_proc]:
+                args = (start, end, mode, tuple(c for c in ALL_CONDITIONS if c not in satisfied), cap)
+                queued.append(args if pool is None else pool.submit(_chunk_task, args))
+            item = queued.popleft()
+            if pool is None:
+                result = _scan_chunk(ctx, *item)
+            else:
+                try:
+                    result = item.result(timeout=remaining)
+                except FutureTimeoutError:
+                    raise _over_budget(done_chunks, len(chunks)) from None
+            if absorb(*result):
                 break
-    else:
-        with ProcessPoolExecutor(
-            max_workers=n_proc, initializer=_init_worker, initargs=(m, rd_by_name)
-        ) as pool:
-            futures = [
-                pool.submit(_chunk_task, (start, end, mode, needed, cap))
-                for start, end in chunks
-            ]
-            try:
-                for done_chunks, fut in enumerate(futures):
-                    remaining = None if deadline is None else deadline - time.monotonic()
-                    if remaining is not None and remaining <= 0:
-                        raise _over_budget(done_chunks, len(chunks))
-                    try:
-                        result = fut.result(timeout=remaining)
-                    except FutureTimeoutError:
-                        raise _over_budget(done_chunks, len(chunks)) from None
-                    if absorb(*result):
-                        break
-            finally:
-                for fut in futures:
-                    fut.cancel()
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
 
     witnesses = [_raw_to_witness(m, raw) for raw in raws[:cap]]
     return MinimalityVerdict(not witnesses, "spectral", witnesses, checks)

@@ -7,56 +7,11 @@ from terncode import gf3
 from terncode.errors import CapacityError
 
 
-def test_index_to_vector_examples():
-    assert gf3.index_to_vector(0, 3).digits == (0, 0, 0)
-    assert gf3.index_to_vector(4, 3).digits == (1, 1, 0)
-    assert gf3.index_to_vector(26, 3).digits == (2, 2, 2)
-
-
-def test_index_round_trip_exhaustive():
-    for m in range(1, 9):
-        for idx in range(gf3.pow3(m)):
-            assert gf3.vector_to_index(gf3.index_to_vector(idx, m)) == idx
-
-
-def test_index_out_of_range():
-    with pytest.raises(ValueError):
-        gf3.index_to_vector(27, 3)
-    with pytest.raises(ValueError):
-        gf3.index_to_vector(-1, 3)
-
-
 def test_dimension_cap():
     with pytest.raises(CapacityError):
         gf3.check_dimension(gf3.MAX_M + 1)
     with pytest.raises(ValueError):
         gf3.check_dimension(0)
-
-
-def test_dot_examples():
-    v = lambda *d: gf3.TritVector(len(d), d)
-    assert gf3.dot(v(1, 1, 0), v(1, 2, 0)) == 0
-    assert gf3.dot(v(0, 0, 0), v(2, 1, 2)) == 0
-    assert gf3.dot(v(2, 2), v(2, 2)) == 2
-
-
-def test_dot_dimension_mismatch():
-    with pytest.raises(ValueError):
-        gf3.dot(gf3.TritVector(2, (1, 0)), gf3.TritVector(3, (1, 0, 0)))
-
-
-def test_vec_ops_examples():
-    assert gf3.vec_add(gf3.TritVector(2, (1, 2)), gf3.TritVector(2, (2, 1))).digits == (0, 0)
-    assert gf3.hamming_weight(gf3.TritVector(3, (0, 0, 0))) == 0
-    assert gf3.hamming_weight(gf3.TritVector(5, (1, 0, 2, 0, 1))) == 3
-
-
-@given(st.integers(min_value=1, max_value=7), st.data())
-def test_negation_preserves_weight(m, data):
-    idx = data.draw(st.integers(min_value=0, max_value=gf3.pow3(m) - 1))
-    v = gf3.index_to_vector(idx, m)
-    assert gf3.hamming_weight(gf3.vec_neg(v)) == gf3.hamming_weight(v)
-    assert gf3.vec_add(v, gf3.vec_neg(v)).index == 0
 
 
 def test_dot_symmetric_and_bilinear_exhaustive_m4():
@@ -103,9 +58,11 @@ def test_perm_tables_consistency():
 def test_scalar_index_ops_match_vector_ops(m, i_raw, j_raw):
     i = i_raw % gf3.pow3(m)
     j = j_raw % gf3.pow3(m)
-    a = gf3.index_to_vector(i, m)
-    b = gf3.index_to_vector(j, m)
-    assert gf3.add_index(m, i, j) == gf3.vec_add(a, b).index
-    assert gf3.neg_index(m, i) == gf3.vec_neg(a).index
-    assert gf3.dot_index(m, i, j) == gf3.dot(a, b)
-    assert gf3.weight_index(m, i) == gf3.hamming_weight(a)
+    # reference: plain digit lists, digit k of index i is (i // 3**k) % 3
+    a = [(i // 3**k) % 3 for k in range(m)]
+    b = [(j // 3**k) % 3 for k in range(m)]
+    index = lambda digits: sum(d * 3**k for k, d in enumerate(digits))
+    assert gf3.add_index(m, i, j) == index([(x + y) % 3 for x, y in zip(a, b)])
+    assert gf3.neg_index(m, i) == index([-x % 3 for x in a])
+    assert gf3.dot_index(m, i, j) == sum(x * y for x, y in zip(a, b)) % 3
+    assert gf3.weights_table(m)[i] == sum(x != 0 for x in a)

@@ -143,23 +143,31 @@ def test_spectral_exhaustive_and_per_condition_modes():
 
 
 def test_spectral_determinism_across_process_counts():
-    # m = 6 spans two scheduling chunks, so processes=2 drives the pool
+    # m = 6 spans two scheduling chunks, so processes=2 drives the pool, and
+    # processes=3 drives it with the window capped at the two chunks
     specs = (
         random_valid_spec(6, np.random.default_rng(55)),
-        # functions of wt(x) with only mixed-pair violated: later chunks rescan it
+        # functions of wt(x) with only mixed-pair violated: a chunk queued
+        # before the violation is found still scans it
         weight_symmetric_spec(6, [0, 2, 0, 2, 1, 1, 1], [0, 2, 0, 0, 1, 1, 1]),
     )
     for spec in specs:
         for mode in MODES:
-            v1 = spectral_check(spec, processes=1, **mode)
-            v2 = spectral_check(spec, processes=2, **mode)
-            assert v1.to_json_obj() == v2.to_json_obj()
+            v1 = spectral_check(spec, processes=1, **mode).to_json_obj()
+            for processes in (2, 3):
+                assert spectral_check(spec, processes=processes, **mode).to_json_obj() == v1
 
 
 def test_spectral_budget():
-    for spec in (random_valid_spec(4, np.random.default_rng(9)), shell_spec(5, 2, 4)):
+    cases = (
+        (random_valid_spec(4, np.random.default_rng(9)), 1),
+        (shell_spec(5, 2, 4), 1),
+        # two chunks, so the pool runs
+        (random_valid_spec(6, np.random.default_rng(55)), 2),
+    )
+    for spec, processes in cases:
         with pytest.raises(CapacityError) as exc:
-            spectral_check(spec, budget_seconds=0.0, processes=1)
+            spectral_check(spec, budget_seconds=0.0, processes=processes)
         assert exc.value.completed_fraction == 0.0
 
 
@@ -169,17 +177,6 @@ def test_verdict_flag_matches_witnesses(seed):
     spec = random_valid_spec(2, np.random.default_rng(seed))
     v = spectral_check(spec, processes=1)
     assert v.minimal == (len(v.witnesses) == 0)
-
-
-def test_thread_count_env_var(monkeypatch):
-    from terncode.minimality import THREADS_ENV_VAR, _resolve_processes
-
-    monkeypatch.setenv(THREADS_ENV_VAR, "3")
-    assert _resolve_processes(None) == 3
-    assert _resolve_processes(0) == 3
-    assert _resolve_processes(5) == 5
-    monkeypatch.delenv(THREADS_ENV_VAR)
-    assert _resolve_processes(None) >= 1
 
 
 def test_spectral_parallel_path_determinism_with_witness():
