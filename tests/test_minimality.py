@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terncode import gf3
-from terncode.code import all_codewords_matrix
+from terncode import gf3, minimality
+from terncode.code import FAMILY_NAMES, all_codewords_matrix
 from terncode.errors import CapacityError
 from terncode.minimality import (
     PAIR_ALGEBRA,
@@ -145,6 +145,7 @@ def test_spectral_exhaustive_and_per_condition_modes():
 def test_spectral_determinism_across_process_counts():
     # m = 6 spans two scheduling chunks, so processes=2 drives the pool, and
     # processes=3 drives it with the window capped at the two chunks
+    assert gf3.pow3(6) > minimality._CHUNK
     specs = (
         random_valid_spec(6, np.random.default_rng(55)),
         # functions of wt(x) with only mixed-pair violated: a chunk queued
@@ -165,6 +166,7 @@ def test_spectral_budget():
         # two chunks, so the pool runs
         (random_valid_spec(6, np.random.default_rng(55)), 2),
     )
+    assert gf3.pow3(6) > minimality._CHUNK
     for spec, processes in cases:
         with pytest.raises(CapacityError) as exc:
             spectral_check(spec, budget_seconds=0.0, processes=processes)
@@ -187,6 +189,7 @@ def test_spectral_parallel_path_determinism_with_witness():
     from terncode.errors import ValidationError
 
     m = 6
+    assert gf3.pow3(m) > minimality._CHUNK
     rng = np.random.default_rng(606)
     f_tab = np.zeros(3**m, dtype=np.int8)
     f_tab[5] = 1
@@ -203,6 +206,59 @@ def test_spectral_parallel_path_determinism_with_witness():
     assert serial.minimal is False and parallel.minimal is False
     assert serial.witnesses == parallel.witnesses
     assert confirm_witness(spec, serial.witnesses[0])
+
+
+def naive_violations(spec) -> set[tuple]:
+    """Every violation of the three spectral conditions, from full index tables."""
+    m = spec.m
+    total, target = gf3.pow3(m), 2 * gf3.pow3(m)
+    rows = np.arange(total)
+    i_add, i_sub = gf3.add_perm_rows(m, rows), gf3.sub_perm_rows(m, rows)
+    neg = gf3.neg_perm(m)
+    i_v3 = neg[i_add]
+    v1, v2 = np.indices((total, total))
+    rd = {name: spec.spectra[name].rd for name in FAMILY_NAMES}
+
+    def signed(key, idx):
+        name, sign = key
+        return rd[name][idx] if sign > 0 else rd[name][neg[idx]]
+
+    out = set()
+    for name in FAMILY_NAMES:
+        A = rd[name]
+        for cond, lhs in (("triple-minus", A[v1] + A[v2] - 2 * A[i_v3]),
+                          ("triple-plus", A[v1] + A[v2] + A[i_v3])):
+            for i, j in zip(*np.nonzero((lhs == target) & (v1 != v2))):
+                out.add((cond, (name,), (int(i), int(j), int(i_v3[i, j]))))
+    for f1, f2, sum_key, diff_key in PAIR_ALGEBRA:
+        S = signed(sum_key, i_add) + signed(diff_key, i_sub) - 2 * rd[f1][v1] + rd[f2][v2]
+        out |= {("mixed-pair", (f1, f2), (int(i), int(j))) for i, j in zip(*np.nonzero(S == target))}
+    return out
+
+
+def test_exhaustive_sweep_matches_naive_oracle():
+    rng = np.random.default_rng(4)
+    specs = [random_valid_spec(m, rng) for m in range(2, 6) for _ in range(3)]
+    for m in (4, 5):
+        a = np.eye(m, dtype=np.int64)
+        a[0, 1] = 1  # not monomial, so the spectra lose their weight symmetry
+        for _ in range(3):
+            spec = random_weight_symmetric_spec(m, rng)
+            specs += [spec, scrambled_spec(spec, a)]
+    specs.append(scrambled_spec(shell_spec(5, 2, 4), a))
+    # triple-plus holds at (v1, v2, v3) = (27, 0, 54): v2 has the low digits
+    # of v1, outside v1's block, so masking v2 = v1 must not drop it
+    specs.append(weight_symmetric_spec(4, [0, 0, 2, 0, 2], [0, 0, 2, 0, 1]))
+    seen = set()
+    for spec in specs:
+        verdict = spectral_sweep(spec, exhaustive=True, max_witnesses=10**9, processes=1)
+        found = [(w.condition, w.functions, w.vectors) for w in verdict.witnesses]
+        assert len(set(found)) == len(found)
+        assert set(found) == naive_violations(spec)
+        for w in verdict.witnesses:
+            assert w.condition != "mixed-pair" or confirm_witness(spec, w)
+        seen |= {w.condition for w in verdict.witnesses if spec.m >= 4}
+    assert seen == {"triple-minus", "triple-plus", "mixed-pair"}
 
 
 def test_orbit_precheck_agrees_with_sweep():
