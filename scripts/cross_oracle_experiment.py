@@ -15,7 +15,7 @@ import numpy as np
 
 from terncode.code import validate
 from terncode.errors import ValidationError
-from terncode.minimality import confirm_witness, is_minimal_bruteforce, spectral_check
+from terncode.minimality import BRUTEFORCE_MAX_M, confirm_witness, is_minimal_bruteforce, spectral_check
 from terncode.spectrum import TernaryFunction
 
 
@@ -29,9 +29,17 @@ def random_valid_spec(m, rng):
             continue
 
 
+def dimension(text: str) -> int:
+    m = int(text)
+    # validate rejects every pair at m = 1, so the sampler would never stop
+    if not 2 <= m <= BRUTEFORCE_MAX_M:
+        raise argparse.ArgumentTypeError(f"m must be between 2 and {BRUTEFORCE_MAX_M}, got {m}")
+    return m
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--m", type=int, nargs="+", default=[2, 3, 4])
+    ap.add_argument("--m", type=dimension, nargs="+", default=[2, 3, 4])
     ap.add_argument("--per-m", type=int, default=200)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()

@@ -4,14 +4,14 @@
 Runs the spectral criterion per window and prints a per-condition report.
 The shell codes are weight-symmetric, so a window whose orbits are all
 clean certifies in milliseconds (see terncode.minimality).  A window with
-a violated condition falls back to the full sweep, whose cost grows as
-3^(2m): with two processes on a 2-core machine a clean sweep takes about
-9 s at m = 9 and 84 s at m = 10, and each further m multiplies that by
-about nine.  Use --budget to bound a run.
+a violated condition is decided on the lines through its heavy shifts,
+which hold every violation: O(3^m) pairs per heavy shift, one process,
+instead of the 3^(2m) pairs of the full sweep.  Use --budget to bound a
+run.
 
     python scripts/sweep_spectral.py --m 9
-    python scripts/sweep_spectral.py --m 10 --threads 8
-    python scripts/sweep_spectral.py --m 11 --budget 36000
+    python scripts/sweep_spectral.py --m 10 11
+    python scripts/sweep_spectral.py --m 12 --budget 60
 """
 
 import argparse
@@ -24,7 +24,6 @@ from terncode.hwconstruct import admissible_params, build_spec, condition_report
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("--m", type=int, nargs="+", default=[9], help="dimensions to sweep")
-    ap.add_argument("--threads", type=int, default=0, help="worker processes (0 = auto)")
     ap.add_argument("--budget", type=float, default=None, help="wall-clock cap per window, seconds")
     args = ap.parse_args()
 
@@ -38,12 +37,7 @@ def main() -> int:
             t0 = time.time()
             spec = build_spec(p)
             try:
-                report = condition_report(
-                    p,
-                    spec=spec,
-                    processes=None if args.threads == 0 else args.threads,
-                    budget_seconds=args.budget,
-                )
+                report = condition_report(p, spec=spec, budget_seconds=args.budget)
             except CapacityError as exc:
                 print(f"(m={p.m}, k1={p.k1}, k2={p.k2}): BUDGET EXCEEDED "
                       f"({exc.completed_fraction:.1%} scanned)")

@@ -208,7 +208,6 @@ def extremes_report(p: HWParams) -> ExtremesReport:
 def condition_report(
     p: HWParams,
     *,
-    processes: int | None = None,
     budget_seconds: float | None = None,
     spec: CodeSpec | None = None,
 ) -> dict:
@@ -216,13 +215,12 @@ def condition_report(
 
     Runs :func:`spectral_check` once in per-condition mode: the built
     spectra are weight-symmetric, so a code clean on all three conditions
-    is certified by the orbit pre-check, and a violated one is swept.
+    is certified by the orbit pre-check, and a violated one on the
+    heavy-shift lines, on one process.
     """
     if spec is None:
         spec = build_spec(p)
-    verdict: MinimalityVerdict = spectral_check(
-        spec, per_condition=True, processes=processes, budget_seconds=budget_seconds
-    )
+    verdict: MinimalityVerdict = spectral_check(spec, per_condition=True, budget_seconds=budget_seconds)
     violated = {w.condition for w in verdict.witnesses}
     return {
         "triple_minus": "triple-minus" not in violated,

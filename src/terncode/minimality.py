@@ -25,7 +25,8 @@ Three independent certifiers:
 * ``ashikhmin_barg``: the classical sufficient ratio test, in cross-
   multiplied integers.
 
-``spectral_sweep`` evaluates the criterion on all 3^(2m) pairs (v1, v2).
+``spectral_sweep`` evaluates the criterion on all 3^(2m) pairs (v1, v2);
+it is the oracle the faster paths of ``spectral_check`` are tested against.
 It is vectorized over v2 in v1 blocks that are cosets: the 3^min(3, m)
 rows sharing their high base-3 digits.  Over such a block every operand
 RD(F, +/-(v1 +/- v2)) is a column gather and a row gather of one int32
@@ -43,8 +44,11 @@ count.  A clean sweep costs 20*3^(2m) - 8*3^m checks; at m = 8 one
 process runs them in about 1.4 s and two in about 0.8 s on a 2-core
 machine, and m = 9 takes about 15 s and 9 s.
 
-``spectral_check`` first runs an orbit pre-check.  When every family
-spectrum is constant on Hamming-weight classes (the shell construction of
+``spectral_check`` decides the same criterion without the sweep, in two
+steps.
+
+First, an orbit pre-check.  When every family spectrum is constant on
+Hamming-weight classes (the shell construction of
 :mod:`terncode.hwconstruct` defines f and g through wt(x) only), each
 condition depends on (v1, v2) only through its orbit under the monomial
 group, i.e. the composition (n0, na, nb, nc, nd) of m into the coordinate
@@ -54,8 +58,28 @@ wt(v1) = na+nc+nd, wt(v2) = nb+nc+nd, wt(v1+v2) = wt(v3) = na+nb+nc and
 wt(v1-v2) = na+nb+nd, and v1 = v2 exactly when na = nb = nd = 0.  So the
 C(m+4, 4) compositions decide the criterion (495 at m = 8, against 3^16
 pairs).  If no orbit violates a condition, the verdict is the one a clean
-sweep reports, check count included; otherwise, or when the spectra are
-not weight-symmetric, the sweep runs unchanged and supplies the witnesses.
+sweep reports, check count included.
+
+Otherwise, heavy-shift lines.  Every condition is an integer equation
+sum_i c_i * RD(F_i, w_i) = T with sum_i |c_i| <= 5, so a violation has an
+operand with |RD(F, w)| >= ceil(T / 5); call such a w heavy.  Since
+|RD(F, w)| <= 2|F_hat(w)| and sum_w |F_hat(w)|^2 = 3^(2m) (Parseval), a
+member has at most 25 heavy shifts, and more raises ConsistencyError.
+Let P be the heavy shifts of all four members together with their
+negations.  Every operand argument is v1, v2, +/-(v1+v2) or +/-(v1-v2),
+so every violation lies on one of the lines v1 = p, v2 = p, v1+v2 = p and
+v1-v2 = p through a point p of P, each holding 3^m pairs.  Scanning those
+at most 4*|P| lines is therefore the whole criterion, not a pre-check.
+Each hit gets an int64 key in the sweep's scan order (block of v1,
+comparison, then (lo1, lo2, hi2) within the block), so the smallest key
+per condition is the witness the sweep would report first, and the check
+count the sweep would report follows from it.  An exhaustive run with a
+violation still runs the sweep, for its witness list.  The shell codes
+and their scrambled copies have P = {0} (four lines); uniformly random
+valid pairs from m = 6 on typically have P empty.  On a 2-core machine a
+scrambled (m, 2, 4) shell certifies in about 4 ms at m = 8, 0.03 s at
+m = 10 and 0.3 s at m = 12, against 0.8 s, 84 s and hours for the
+sweep with two processes.
 """
 
 from __future__ import annotations
@@ -413,11 +437,8 @@ def _raw_to_witness(m: int, raw: tuple) -> SpectralWitness:
     return SpectralWitness("mixed-pair", (f1, f2), (v1, v2), pair)
 
 
-def _over_budget(done_chunks: int, n_chunks: int) -> CapacityError:
-    return CapacityError(
-        f"budget exceeded after {done_chunks}/{n_chunks} chunks",
-        completed_fraction=done_chunks / n_chunks,
-    )
+def _over_budget(done: int, total: int, unit: str = "chunks") -> CapacityError:
+    return CapacityError(f"budget exceeded after {done}/{total} {unit}", completed_fraction=done / total)
 
 
 def spectral_sweep(
@@ -558,6 +579,160 @@ def orbit_violations(spec: CodeSpec) -> set[str] | None:
     return violated
 
 
+# ---------------------------------------------------------------------------
+# Heavy-shift lines: the whole criterion on O(3^m) pairs
+# ---------------------------------------------------------------------------
+
+# Each condition is an integer equation sum_i c_i * RD(F_i, w_i) = T with
+# T = 2*3^m and S = sum_i |c_i| at most 5 (triple-plus 3, triple-minus 4,
+# mixed-pair 5 from 1, 1, -2, 1).  So a violation has an operand with
+# |RD(F, w)| >= T / S >= T / 5, hence >= ceil(T / 5): its argument w is
+# heavy for F.  Since |RD(F, w)| <= 2|F_hat(w)| and sum_w |F_hat(w)|^2 =
+# 3^(2m) (Parseval), a heavy w has |F_hat(w)|^2 >= 3^(2m) / 25, and at most
+# 25 shifts per member are heavy.
+_MAX_HEAVY = 25
+# pairs (v1, v2) per line evaluation: several points' lines at small m, a
+# slice of one point's lines at large m.  A batch holds about 120 bytes per
+# pair (int64 index arrays, int32 operands), so 2^14 pairs stay near 2 MB:
+# in cache, and below the process's other peaks.  Half that size doubles
+# the per-batch overhead (measured 1.6x slower at m = 8).
+_LINE_BATCH = 1 << 14
+# The sweep's 20 block comparisons in scan order: c = 2*i_F + (0 minus,
+# 1 plus) for the triples of FAMILY_NAMES[i_F], then c = 8 + 2*pair + order
+# for _MIXED_PAIRS, order 0 being (F1, F2) at (v1, v2) and 1 (F2, F1) at
+# (v2, v1).
+_COMPARISONS = 20
+assert _COMPARISONS * 9**gf3.MAX_M < 2**63, "scan-order keys overflow int64 at MAX_M"
+_CONDITION_OF = ("triple-minus", "triple-plus") * 4 + ("mixed-pair",) * 12
+
+
+def heavy_points(spec: CodeSpec) -> np.ndarray:
+    """P: the shifts w with |RD(F, w)| >= ceil(2*3^m / 5) for some member F,
+    closed under negation, ascending.
+
+    Raises :class:`ConsistencyError` if one member has more than 25 heavy
+    shifts, which Parseval rules out.
+    """
+    m = spec.m
+    threshold = -(-2 * gf3.pow3(m) // 5)
+    neg = gf3.neg_perm(m)
+    points = []
+    for name in FAMILY_NAMES:
+        heavy = np.flatnonzero(np.abs(spec.spectra[name].rd) >= threshold)
+        if len(heavy) > _MAX_HEAVY:
+            raise ConsistencyError(
+                f"{name} has {len(heavy)} heavy shifts, more than the {_MAX_HEAVY} Parseval allows"
+            )
+        points += [heavy, neg[heavy]]
+    return np.unique(np.concatenate(points))
+
+
+def _key_layout(m: int) -> tuple[int, int, int]:
+    """(K, H, stride) of the scan-order key: K = 3^min(3, m) rows per sweep
+    block, H = 3^m / K blocks, and stride = K*K*H = K*3^m per comparison."""
+    K = gf3.pow3(min(_BLOCK_DIGITS, m))
+    H = gf3.pow3(m) // K
+    return K, H, K * gf3.pow3(m)
+
+
+def _line_keys(spec: CodeSpec, points: np.ndarray):
+    """Evaluate the 20 block comparisons on every line through ``points``.
+
+    A violation has a heavy operand argument (see ``_MAX_HEAVY``), which is
+    one of v1, v2, +/-(v1+v2) and +/-(v1-v2) (v3 = -(v1+v2)).  With P = -P,
+    the pair (v1, v2) lies on one of the lines v1 = p, v2 = p, v1+v2 = p
+    and v1-v2 = p for some p in P.  Each line holds 3^m pairs: with j
+    running over F_3^m,
+
+    - v1 = p:      (p, j), v1+v2 = p+j, v1-v2 = p-j;
+    - v2 = p:      (j, p), v1+v2 = p+j, v1-v2 = -(p-j);
+    - v1+v2 = p:   (j, p-j), v1-v2 = 2j-p = -(p+j);
+    - v1-v2 = p:   (j, -(p-j)), v1+v2 = -(p+j).
+
+    Yields (points done, keys) per batch.  A hit of comparison c at (v1, v2)
+    has the key (v1 // K, c, v1 % K, v2 % K, v2 // K) in mixed radix
+    (K, H as in :func:`_key_layout`), so keys ascend in the sweep's scan
+    order.  Keys are below 20*3^(2m) < 2^63 for m <= 16, and operand sums
+    stay in int32 by the bound above ``_BLOCK_DIGITS``.  A pair on two
+    lines yields its hits twice.
+    """
+    m = spec.m
+    n, T = gf3.pow3(m), 2 * gf3.pow3(m)
+    K, H, _ = _key_layout(m)
+    neg = gf3.neg_perm(m)
+    rd = {name: spec.spectra[name].rd.astype(np.int32) for name in FAMILY_NAMES}
+    j_all = np.arange(n)
+    per_batch = max(1, _LINE_BATCH // (4 * n))  # points per batch
+    seg = min(n, _LINE_BATCH // 4)  # j per batch when one point's lines do not fit
+    for i0 in range(0, len(points), per_batch):
+        pts = points[i0 : i0 + per_batch]
+        add, sub = gf3.add_perm_rows(m, pts), gf3.sub_perm_rows(m, pts)  # p+j, p-j
+        for j0 in range(0, n, seg):
+            js = slice(j0, j0 + seg)
+            p, j, a, s = np.broadcast_arrays(pts[:, None], j_all[js], add[:, js], sub[:, js])
+            na, ns = neg[a], neg[s]
+            v1 = np.stack([p, j, j, j]).reshape(-1)
+            v2 = np.stack([j, p, s, ns]).reshape(-1)
+            arg = {"sum": np.stack([a, a, p, na]).reshape(-1), "diff": np.stack([s, ns, na, p]).reshape(-1)}
+            arg["nsum"], arg["ndiff"] = neg[arg["sum"]], neg[arg["diff"]]
+            at_v1 = {name: rd[name][v1] for name in FAMILY_NAMES}
+            at_v2 = {name: rd[name][v2] for name in FAMILY_NAMES}
+            keys = []
+
+            def hits(mask: np.ndarray, c: int) -> None:
+                idx = np.flatnonzero(mask)
+                w1, w2 = v1[idx], v2[idx]
+                keys.append((((w1 // K * _COMPARISONS + c) * K + w1 % K) * K + w2 % K) * H + w2 // K)
+
+            distinct = v1 != v2  # v1 = v2 = v3 is degenerate for the triples
+            for i, name in enumerate(FAMILY_NAMES):
+                x = at_v1[name] + at_v2[name]
+                a3 = rd[name][arg["nsum"]]  # RD(F, v3)
+                hits(distinct & (x - 2 * a3 == T), 2 * i)
+                hits(distinct & (x + a3 == T), 2 * i + 1)
+            for k, (f1, f2, (s_name, s_kind), (d_name, d_kind)) in enumerate(_MIXED_PAIRS):
+                x = rd[s_name][arg[s_kind]] + rd[d_name][arg[d_kind]]
+                a1, a2 = at_v1[f1], at_v2[f2]
+                hits(x - 2 * a1 + a2 == T, 8 + 2 * k)
+                hits(x - 2 * a2 + a1 == T, 9 + 2 * k)
+            yield i0 + len(pts) if j0 + seg >= n else i0, np.concatenate(keys)
+
+
+def _key_to_raw(m: int, key: int) -> tuple:
+    """The raw violation of :meth:`_BlockKernel.scan` that a line key encodes."""
+    K, H, stride = _key_layout(m)
+    hi1, rest = divmod(int(key), _COMPARISONS * stride)
+    c, rest = divmod(rest, stride)
+    lo1, rest = divmod(rest, K * H)
+    lo2, hi2 = divmod(rest, H)
+    v1, v2 = lo1 + K * hi1, lo2 + K * hi2
+    if c < 8:
+        v3 = gf3.neg_index(m, gf3.add_index(m, v1, v2))
+        return (_CONDITION_OF[c], FAMILY_NAMES[c // 2], v1, v2, v3)
+    pair, order = divmod(c - 8, 2)
+    f1, f2 = _MIXED_PAIRS[pair][:2]
+    return ("mixed-pair", f1, f2, v1, v2) if order == 0 else ("mixed-pair", f2, f1, v2, v1)
+
+
+def _sweep_checks(m: int, condition: str | None, key: int | None) -> int:
+    """Checks the sweep counts for ``condition`` (None: all three) up to and
+    including the hit ``key``, or over the whole sweep when ``key`` is None.
+
+    A block comparison counts K*3^m checks, less the K degenerate pairs
+    v1 = v2 for a triple comparison.
+    """
+    K, H, stride = _key_layout(m)
+    comps = [c for c in range(_COMPARISONS) if condition in (None, _CONDITION_OF[c])]
+
+    def size(c: int) -> int:
+        return stride - K if c < 8 else stride
+
+    if key is None:
+        return H * sum(map(size, comps))
+    block, c_hit = divmod(key // stride, _COMPARISONS)
+    return block * sum(map(size, comps)) + sum(size(c) for c in comps if c <= c_hit)
+
+
 def spectral_check(
     spec: CodeSpec,
     *,
@@ -571,25 +746,58 @@ def spectral_check(
 
     Same arguments and result as :func:`spectral_sweep`.  When the orbit
     pre-check finds weight-symmetric spectra and no violated orbit, the
-    clean verdict is returned at once, with the check count of a clean
-    sweep (8*(3^2m - 3^m) + 12*3^2m in every mode); otherwise the sweep
-    runs on what is left of ``budget_seconds``.
+    clean verdict is returned at once.  Otherwise the lines through the
+    heavy points decide it, on one process: a clean verdict, the first
+    violation, or each condition's first violation are reported as the
+    sweep reports them, check count included (a clean sweep counts
+    20*3^(2m) - 8*3^m checks in every mode).  Only an exhaustive run with
+    a violation runs the sweep, on ``processes`` workers and what is left
+    of ``budget_seconds``.  A budget spent before the line scan raises
+    :class:`CapacityError` with ``completed_fraction`` 0; one spent during
+    it raises between batches with the share of heavy points done.
     """
-    started = time.monotonic()
-    clean = orbit_violations(spec) == set()
-    if budget_seconds is not None:
-        budget_seconds -= time.monotonic() - started
-    if clean and (budget_seconds is None or budget_seconds > 0):
-        total = gf3.pow3(spec.m)
-        return MinimalityVerdict(True, "spectral", [], 8 * (total * total - total) + 12 * total * total)
-    return spectral_sweep(
-        spec,
-        exhaustive=exhaustive,
-        per_condition=per_condition,
-        max_witnesses=max_witnesses,
-        processes=processes,
-        budget_seconds=budget_seconds,
-    )
+    m = spec.m
+    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
+
+    def spent() -> bool:
+        return deadline is not None and time.monotonic() >= deadline
+
+    clean = MinimalityVerdict(True, "spectral", [], _sweep_checks(m, None, None))
+    clean_orbits = orbit_violations(spec) == set()
+    if spent():
+        raise CapacityError("budget exceeded before the heavy-line scan", completed_fraction=0.0)
+    if clean_orbits:
+        return clean
+    points = heavy_points(spec)
+    first: dict[str, int] = {}  # condition -> its smallest key
+    _, _, stride = _key_layout(m)
+    for done, keys in _line_keys(spec, points):
+        cond_of_key = np.take(_CONDITION_OF, keys // stride % _COMPARISONS)
+        for cond in ALL_CONDITIONS:
+            hits = keys[cond_of_key == cond]
+            if hits.size:
+                key = int(hits.min())
+                first[cond] = min(key, first.get(cond, key))
+        if done < len(points) and spent():
+            raise _over_budget(done, len(points), "heavy points")
+    if not first:
+        return clean
+    if exhaustive:
+        return spectral_sweep(
+            spec,
+            exhaustive=True,
+            max_witnesses=max_witnesses,
+            processes=processes,
+            budget_seconds=None if deadline is None else deadline - time.monotonic(),
+        )
+    if per_condition:
+        reported = sorted(first.values())
+        checks = sum(_sweep_checks(m, cond, first.get(cond)) for cond in ALL_CONDITIONS)
+    else:
+        reported = [min(first.values())]
+        checks = _sweep_checks(m, None, reported[0])
+    witnesses = [_raw_to_witness(m, _key_to_raw(m, key)) for key in reported]
+    return MinimalityVerdict(False, "spectral", witnesses, checks)
 
 
 def confirm_witness(spec: CodeSpec, witness) -> bool:

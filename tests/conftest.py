@@ -11,15 +11,37 @@ from terncode.errors import ValidationError
 from terncode.spectrum import TernaryFunction
 
 
-def random_valid_spec(m: int, rng: np.random.Generator) -> CodeSpec:
-    """Rejection-sample a pair (f, g) satisfying the construction hypotheses."""
-    while True:
-        f = TernaryFunction.random(m, rng)
-        g = TernaryFunction.random(m, rng)
+# Rejection samplers give up after this many draws.  At m = 1 every pair
+# fails validate; at m >= 2 more than half the draws pass.
+MAX_DRAWS = 1000
+
+
+def _first_valid(m: int, draw) -> CodeSpec:
+    """The first ``draw()`` that does not raise ValidationError."""
+    for _ in range(MAX_DRAWS):
         try:
-            return validate(m, f, g)
+            return draw()
         except ValidationError:
             continue
+    raise RuntimeError(f"no valid pair at m={m} in {MAX_DRAWS} draws")
+
+
+def random_valid_spec(m: int, rng: np.random.Generator) -> CodeSpec:
+    """Rejection-sample a pair (f, g) satisfying the construction hypotheses."""
+    return _first_valid(m, lambda: validate(m, TernaryFunction.random(m, rng), TernaryFunction.random(m, rng)))
+
+
+def sparse_random_spec(m: int, rng: np.random.Generator, support: int = 3) -> CodeSpec:
+    """Rejection-sample a valid pair whose f is nonzero at ``support`` random
+    points and whose g is uniform.  The word of f has low weight and lies
+    inside many linear words, so such codes are in practice not minimal."""
+
+    def draw() -> CodeSpec:
+        f = np.zeros(gf3.pow3(m), dtype=np.int8)
+        f[rng.choice(np.arange(1, gf3.pow3(m)), size=support, replace=False)] = rng.integers(1, 3, size=support)
+        return validate(m, TernaryFunction(m, f), TernaryFunction.random(m, rng))
+
+    return _first_valid(m, draw)
 
 
 def weight_symmetric_spec(m: int, f_by_weight, g_by_weight) -> CodeSpec:
@@ -32,13 +54,13 @@ def weight_symmetric_spec(m: int, f_by_weight, g_by_weight) -> CodeSpec:
 
 def random_weight_symmetric_spec(m: int, rng: np.random.Generator) -> CodeSpec:
     """Rejection-sample a valid pair whose f and g are functions of wt(x)."""
-    while True:
+
+    def draw() -> CodeSpec:
         by_weight = rng.integers(0, 3, size=(2, m + 1))
         by_weight[:, 0] = 0
-        try:
-            return weight_symmetric_spec(m, *by_weight)
-        except ValidationError:
-            continue
+        return weight_symmetric_spec(m, *by_weight)
+
+    return _first_valid(m, draw)
 
 
 def shell_spec(m: int, k1: int, k2: int) -> CodeSpec:

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from terncode import gf3, minimality
 from terncode.code import FAMILY_NAMES, all_codewords_matrix
-from terncode.errors import CapacityError
+from terncode.errors import CapacityError, ConsistencyError
 from terncode.minimality import (
     PAIR_ALGEBRA,
     ashikhmin_barg,
@@ -23,10 +23,20 @@ from conftest import (
     random_weight_symmetric_spec,
     scrambled_spec,
     shell_spec,
+    sparse_random_spec,
     weight_symmetric_spec,
 )
 
 MODES = ({}, {"per_condition": True}, {"exhaustive": True, "max_witnesses": 50})
+
+
+def nonmonomial(m: int) -> np.ndarray:
+    """An invertible m x m matrix that is not monomial: ``scrambled_spec``
+    with it breaks the weight symmetry of the spectra."""
+    a = np.eye(m, dtype=np.int64)
+    a[0, 1] = 1
+    return a
+
 
 words3 = st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=12)
 
@@ -87,6 +97,13 @@ def test_pair_algebra_is_the_function_algebra():
         assert np.array_equal((t1 - t2) % 3, resolve(diff_key))
 
 
+@pytest.mark.parametrize("sampler", [random_valid_spec, random_weight_symmetric_spec])
+def test_samplers_give_up_at_m1(sampler):
+    # validate rejects every pair at m = 1
+    with pytest.raises(RuntimeError, match="no valid pair"):
+        sampler(1, np.random.default_rng(0))
+
+
 def test_bruteforce_capacity():
     spec = random_valid_spec(6, np.random.default_rng(2))
     with pytest.raises(CapacityError):
@@ -143,8 +160,9 @@ def test_spectral_exhaustive_and_per_condition_modes():
 
 
 def test_spectral_determinism_across_process_counts():
-    # m = 6 spans two scheduling chunks, so processes=2 drives the pool, and
-    # processes=3 drives it with the window capped at the two chunks
+    # m = 6 spans two scheduling chunks: an exhaustive run with a violation
+    # sweeps, on the pool with processes=2 and with the window capped at the
+    # two chunks with processes=3; the heavy lines ignore processes
     assert gf3.pow3(6) > minimality._CHUNK
     specs = (
         random_valid_spec(6, np.random.default_rng(55)),
@@ -163,14 +181,19 @@ def test_spectral_budget():
     cases = (
         (random_valid_spec(4, np.random.default_rng(9)), 1),
         (shell_spec(5, 2, 4), 1),
-        # two chunks, so the pool runs
+        # two chunks: a sweep would start the pool
         (random_valid_spec(6, np.random.default_rng(55)), 2),
+        # not weight-symmetric: the heavy-line path must not start
+        (scrambled_spec(shell_spec(5, 2, 4), nonmonomial(5)), 1),
     )
     assert gf3.pow3(6) > minimality._CHUNK
     for spec, processes in cases:
         with pytest.raises(CapacityError) as exc:
             spectral_check(spec, budget_seconds=0.0, processes=processes)
         assert exc.value.completed_fraction == 0.0
+    with pytest.raises(CapacityError) as exc:  # the sweep's own check, with the pool
+        spectral_sweep(cases[2][0], budget_seconds=0.0, processes=2)
+    assert exc.value.completed_fraction == 0.0
 
 
 @settings(deadline=None, max_examples=20)
@@ -182,9 +205,9 @@ def test_verdict_flag_matches_witnesses(seed):
 
 
 def test_spectral_parallel_path_determinism_with_witness():
-    # m = 6 spans multiple scheduling chunks, so this drives the real
-    # multi-process path; a single-bump f guarantees a covering violation
-    # (its weight-1 word sits inside most linear words)
+    # a single-bump f guarantees a covering violation (its weight-1 word
+    # sits inside most linear words); m = 6 spans two scheduling chunks, so
+    # the sweep with processes=2 runs on the pool
     import terncode.code as code_mod
     from terncode.errors import ValidationError
 
@@ -205,6 +228,7 @@ def test_spectral_parallel_path_determinism_with_witness():
     parallel = spectral_check(spec, processes=2)
     assert serial.minimal is False and parallel.minimal is False
     assert serial.witnesses == parallel.witnesses
+    assert spectral_sweep(spec, processes=2).witnesses == serial.witnesses
     assert confirm_witness(spec, serial.witnesses[0])
 
 
@@ -240,12 +264,10 @@ def test_exhaustive_sweep_matches_naive_oracle():
     rng = np.random.default_rng(4)
     specs = [random_valid_spec(m, rng) for m in range(2, 6) for _ in range(3)]
     for m in (4, 5):
-        a = np.eye(m, dtype=np.int64)
-        a[0, 1] = 1  # not monomial, so the spectra lose their weight symmetry
         for _ in range(3):
             spec = random_weight_symmetric_spec(m, rng)
-            specs += [spec, scrambled_spec(spec, a)]
-    specs.append(scrambled_spec(shell_spec(5, 2, 4), a))
+            specs += [spec, scrambled_spec(spec, nonmonomial(m))]
+    specs.append(scrambled_spec(shell_spec(5, 2, 4), nonmonomial(5)))
     # triple-plus holds at (v1, v2, v3) = (27, 0, 54): v2 has the low digits
     # of v1, outside v1's block, so masking v2 = v1 must not drop it
     specs.append(weight_symmetric_spec(4, [0, 0, 2, 0, 2], [0, 0, 2, 0, 1]))
@@ -300,3 +322,86 @@ def test_scrambled_shell_is_not_weight_symmetric():
     scrambled = scrambled_spec(shell, a)
     assert orbit_violations(scrambled) is None
     assert spectral_check(scrambled).to_json_obj() == spectral_check(shell).to_json_obj()
+
+
+def heavy_line_violations(spec) -> list[tuple]:
+    """Every violation on the lines through the heavy points, in scan order."""
+    batches = [keys for _, keys in minimality._line_keys(spec, minimality.heavy_points(spec))]
+    keys = np.unique(np.concatenate([np.zeros(0, np.int64), *batches]))
+    raws = [minimality._key_to_raw(spec.m, int(key)) for key in keys]
+    witnesses = [minimality._raw_to_witness(spec.m, raw) for raw in raws]
+    return [(w.condition, w.functions, w.vectors) for w in witnesses]
+
+
+def test_heavy_lines_match_naive_oracle():
+    rng = np.random.default_rng(66)
+    # uniform random pairs are minimal from m = 4 on; a sparse f gives
+    # violations there
+    specs = [random_valid_spec(m, rng) for m in range(2, 7) for _ in range(6 if m < 4 else 2)]
+    specs += [sparse_random_spec(m, rng) for m in range(4, 7)]
+    for m in (4, 5):
+        for _ in range(3):
+            spec = random_weight_symmetric_spec(m, rng)
+            specs += [spec, scrambled_spec(spec, nonmonomial(m))]
+    specs += [scrambled_spec(shell_spec(m, 2, 4), nonmonomial(m)) for m in (5, 6)]
+    # triple-plus holds at (v1, v2, v3) = (27, 0, 54), off the sweep's v1 block
+    specs.append(weight_symmetric_spec(4, [0, 0, 2, 0, 2], [0, 0, 2, 0, 1]))
+    seen = set()
+    for spec in specs:
+        points = minimality.heavy_points(spec)
+        assert np.array_equal(np.sort(gf3.neg_perm(spec.m)[points]), points)
+        found = heavy_line_violations(spec)
+        assert len(set(found)) == len(found)
+        assert set(found) == naive_violations(spec)
+        seen |= {cond for cond, _, _ in found if spec.m >= 4}
+    assert seen == {"triple-minus", "triple-plus", "mixed-pair"}
+
+
+def test_heavy_path_json_matches_sweep():
+    rng = np.random.default_rng(67)
+    specs = [random_valid_spec(3, rng) for _ in range(2)]
+    specs += [sparse_random_spec(m, rng) for m in (4, 5, 6)]
+    for m in (5, 6):
+        spec = random_weight_symmetric_spec(m, rng)
+        while orbit_violations(spec) == set():
+            spec = random_weight_symmetric_spec(m, rng)
+        specs.append(scrambled_spec(spec, nonmonomial(m)))
+    minimal = scrambled_spec(shell_spec(6, 2, 4), nonmonomial(6))
+    assert gf3.pow3(6) > minimality._CHUNK  # processes=2 drives the sweep's pool at m = 6
+    for spec in [*specs, minimal]:
+        assert orbit_violations(spec) is None  # so spectral_check takes the heavy lines
+        for mode in MODES:
+            for processes in (1, 2):
+                swept = spectral_sweep(spec, processes=processes, **mode).to_json_obj()
+                assert swept["minimal"] is (spec is minimal)
+                assert spectral_check(spec, processes=processes, **mode).to_json_obj() == swept
+
+
+def test_heavy_points_respect_parseval():
+    spec = random_valid_spec(4, np.random.default_rng(68))
+    # every shift heavy: sum |F_hat|^2 would be far above 3^(2m)
+    spec.spectra["f"].rd = np.full(gf3.pow3(4), 2 * gf3.pow3(4), dtype=np.int64)
+    with pytest.raises(ConsistencyError):
+        spectral_check(spec)
+
+
+def test_heavy_path_budget_counts_points(monkeypatch):
+    spec = sparse_random_spec(4, np.random.default_rng(69))
+    n_points = len(minimality.heavy_points(spec))
+    assert n_points > 2
+    monkeypatch.setattr(minimality, "_LINE_BATCH", 4 * gf3.pow3(4))  # one point per batch
+
+    class Clock:  # one second per reading
+        now = 0.0
+
+        @classmethod
+        def monotonic(cls):
+            cls.now += 1.0
+            return cls.now
+
+    monkeypatch.setattr(minimality, "time", Clock)
+    # readings: the deadline (1 + 2.5), after the orbit check (2), after the
+    # first point (3) and after the second (4 >= 3.5)
+    with pytest.raises(CapacityError) as exc:
+        spectral_check(spec, budget_seconds=2.5)
+    assert exc.value.completed_fraction == 2 / n_points

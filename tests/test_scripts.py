@@ -11,15 +11,13 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str, *args: str) -> str:
+def run_script(name: str, *args: str, timeout: float = 300) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=env, timeout=timeout,
     )
-    assert proc.returncode == 0, proc.stdout + proc.stderr
-    return proc.stdout
 
 
 @pytest.mark.parametrize(
@@ -28,11 +26,11 @@ def run_script(name: str, *args: str) -> str:
         # the shell code is weight-symmetric: certified by the orbit pre-check
         (
             "sweep_spectral.py",
-            ("--m", "9", "--threads", "2"),
+            ("--m", "9"),
             r"^\(m=9, k1=2, k2=4\): minimal \[triple-minus ok, triple-plus ok, mixed-pair ok\] "
             r"7,748,252,316 checks in \d+s$",
         ),
-        # random pairs fall through to the inline sweep (processes=1)
+        # random pairs are decided on the heavy-shift lines
         (
             "cross_oracle_experiment.py",
             ("--per-m", "10", "--m", "2", "3", "--seed", "1"),
@@ -41,5 +39,16 @@ def run_script(name: str, *args: str) -> str:
     ],
 )
 def test_script_runs(name, args, summary):
-    out = run_script(name, *args)
-    assert re.search(summary, out, re.MULTILINE), out
+    proc = run_script(name, *args)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert re.search(summary, proc.stdout, re.MULTILINE), proc.stdout
+
+
+@pytest.mark.parametrize("m", ["1", "6"])
+def test_cross_oracle_rejects_out_of_range_m(m):
+    # no pair passes validate at m = 1, and the brute-force oracle stops at
+    # m = 5: the script must refuse with a usage error, not sample forever
+    # or fail later
+    proc = run_script("cross_oracle_experiment.py", "--m", m, timeout=30)
+    assert proc.returncode == 2
+    assert "m must be between 2 and 5" in proc.stderr
