@@ -52,7 +52,7 @@ def main() -> int:
         for _ in range(args.per_m):
             spec = random_valid_spec(m, rng)
             bf = is_minimal_bruteforce(spec)
-            t2 = spectral_check(spec, processes=1)
+            t2 = spectral_check(spec)
             if bf.minimal != t2.minimal:
                 mismatches += 1
                 print(f"MISMATCH at m={m}: oracle={bf.minimal} spectral={t2.minimal}")

@@ -7,7 +7,7 @@ capacity or budget error.
 
 Function tables travel in a two-line text format: ``m=<int>`` then 3^m
 digits from {0,1,2} in enumeration order.  All emitted listings are
-sorted, so outputs are byte-identical regardless of the worker count.
+sorted.
 """
 
 from __future__ import annotations
@@ -45,11 +45,6 @@ def _load_pair(args) -> code_mod.CodeSpec:
             f"--m {m} does not match table dimensions ({f.m}, {g.m})", hypothesis="dimension"
         )
     return code_mod.validate(f.m, f, g)
-
-
-def _threads(args) -> int | None:
-    t = getattr(args, "threads", 0)
-    return None if t in (None, 0) else t
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +164,6 @@ def _cmd_minimality(args) -> int:
         verdicts["spectral"] = minimality.spectral_check(
             spec,
             exhaustive=args.exhaustive,
-            processes=_threads(args),
             budget_seconds=args.budget,
         )
     if args.method in ("oracle", "both"):
@@ -266,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
     p.add_argument("--exhaustive", action="store_true", help="collect all violations, not just the first")
-    p.add_argument("--threads", type=int, default=0, help="worker processes (0 = auto)")
     p.add_argument("--budget", type=float, default=None, help="wall-clock cap in seconds")
     p.set_defaults(handler=_cmd_minimality)
 

@@ -6,8 +6,8 @@ from __future__ import annotations
 class CapacityError(RuntimeError):
     """A request exceeds a documented size or time budget.
 
-    ``completed_fraction`` is set when a sweep was interrupted mid-flight
-    (wall-clock budget exceeded) and reports how much of the scan finished.
+    ``completed_fraction`` is set when a certification ran out of its
+    wall-clock budget and reports how much of the scan had finished.
     """
 
     def __init__(self, message: str, completed_fraction: float | None = None):

@@ -33,16 +33,10 @@ RD(F, +/-(v1 +/- v2)) is a column gather and a row gather of one int32
 table, with no per-pair index array.  Both orders of a mixed pair share
 one sum: (F1, F2) at (v1, v2) and (F2, F1) at (v2, v1) both need
 X = RD(F1+F2, v1+v2) + RD(F1-F2, v1-v2), because RD(-F, -w) = RD(F, w).
-The blocks are grouped into fixed chunks that one driver loop consumes
-in order.  The loop keeps at most one chunk per worker in flight: with
-one process a queued chunk is scanned inline when it is taken, with
-several it runs in a process pool.  A chunk is queued with the
-conditions still open at that moment, so chunks queued after a
-condition is satisfied skip it.  Scan order (and therefore the first
-witness reported) and the check count are independent of the worker
-count.  A clean sweep costs 20*3^(2m) - 8*3^m checks; at m = 8 one
-process runs them in about 1.4 s and two in about 0.8 s on a 2-core
-machine, and m = 9 takes about 15 s and 9 s.
+One process scans the blocks in order and drops a condition once it is
+decided, so the scan order fixes the witnesses reported and the check
+count.  A clean sweep costs 20*3^(2m) - 8*3^m checks; on a 2-core machine
+it takes about 1.4 s at m = 8 and 15 s at m = 9.
 
 ``spectral_check`` decides the same criterion without the sweep, in two
 steps.
@@ -73,22 +67,17 @@ at most 4*|P| lines is therefore the whole criterion, not a pre-check.
 Each hit gets an int64 key in the sweep's scan order (block of v1,
 comparison, then (lo1, lo2, hi2) within the block), so the smallest key
 per condition is the witness the sweep would report first, and the check
-count the sweep would report follows from it.  An exhaustive run with a
-violation still runs the sweep, for its witness list.  The shell codes
-and their scrambled copies have P = {0} (four lines); uniformly random
-valid pairs from m = 6 on typically have P empty.  On a 2-core machine a
-scrambled (m, 2, 4) shell certifies in about 4 ms at m = 8, 0.03 s at
-m = 10 and 0.3 s at m = 12, against 0.8 s, 84 s and hours for the
-sweep with two processes.
+count the sweep would report follows from it; an exhaustive witness list
+is the smallest unique keys.  The shell codes and their scrambled copies
+have P = {0} (four lines); uniformly random valid pairs from m = 6 on
+typically have P empty.  On a 2-core machine a scrambled (m, 2, 4) shell
+certifies in about 4 ms at m = 8, 0.03 s at m = 10 and 0.3 s at m = 12,
+where the sweep takes 1.4 s, minutes and hours.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError  # not the builtin before 3.11
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -258,9 +247,6 @@ def is_minimal_bruteforce(spec: CodeSpec, max_witnesses: int = 1) -> MinimalityV
 assert 10 * 3**gf3.MAX_M < 2**31, "int32 sweep overflows at MAX_M"
 
 _BLOCK_DIGITS = 3  # a v1 block is one coset of 3^3 rows (same high digits)
-# v1 rows per scheduled chunk, whole blocks; fixed, so that neither depends
-# on the worker count
-_CHUNK = 18 * 3**_BLOCK_DIGITS
 
 # The unordered mixed pairs, as (F1, F2, sum operand, difference operand)
 # with each operand a (member, shift kind) of _shift_tables.  One sum
@@ -316,10 +302,13 @@ class _BlockKernel:
         self.y = np.empty((K, K * H), np.int32)
         self.hits = np.empty((K, K * H), bool)
 
-    def scan(self, start: int, end: int, mode: str, needed: tuple[str, ...],
-             cap: int) -> tuple[list[tuple], dict[str, int]]:
-        """Scan v1 in [start, end); return raw witness tuples and checks per condition.
+    def scan(self, mode: str, cap: int) -> tuple[list[tuple], int]:
+        """Scan every pair; return raw witness tuples and the check count.
 
+        Mode "first" stops at the first hit, "per-condition" drops each
+        condition at its first hit and stops when all three are decided,
+        and "exhaustive" stops at ``cap`` hits.  Checks count the open
+        conditions up to and including the comparison where scanning stops.
         Scan order is fixed: v1 blocks ascending; within a block the triple
         conditions (family order, "triple-minus" then "triple-plus") before
         mixed-pair (unordered pair order, (F1, F2) then (F2, F1)); hits
@@ -327,11 +316,11 @@ class _BlockKernel:
         """
         K, H, T = self.K, self.H, self.target
         x, y, hits = self.x, self.y, self.hits
-        need = set(needed)
+        need = set(ALL_CONDITIONS)
         out: list[tuple] = []
-        checks = dict.fromkeys(needed, 0)
+        checks = 0
 
-        for b0 in range(start, end, K):
+        for b0 in range(0, K * H, K):
             hi1 = b0 // K
             cols = _shift_tables(self.hi_digits, [hi1], [self.neg[b0] // K])
             gathered: set[tuple[str, str]] = set()
@@ -346,7 +335,7 @@ class _BlockKernel:
                 return buf
 
             def take(label: str, raw) -> bool:
-                """Append raw(v1, v2, v3) per hit; return True when this chunk is done scanning."""
+                """Append raw(v1, v2, v3) per hit; return True when scanning is done."""
                 if not hits.any():
                     return False
                 r, j = np.nonzero(hits)
@@ -367,14 +356,14 @@ class _BlockKernel:
                     # x = T - RD(F, v1) - RD(F, v2)
                     np.subtract(self.v2_rest[name], self.rt[name][:, hi1, None], out=x)
                     if "triple-minus" in need:
-                        checks["triple-minus"] += hits.size - K
+                        checks += hits.size - K
                         np.multiply(a3, -2, out=y)
                         np.equal(y, x, out=hits)
                         hits.reshape(-1)[self.diag + hi1] = False  # v1 = v2 = v3 is degenerate
                         if take("triple-minus", lambda v1, v2, v3, _n=name: ("triple-minus", _n, v1, v2, v3)):
                             return out, checks
                     if "triple-plus" in need:
-                        checks["triple-plus"] += hits.size - K
+                        checks += hits.size - K
                         np.equal(a3, x, out=hits)
                         hits.reshape(-1)[self.diag + hi1] = False
                         if take("triple-plus", lambda v1, v2, v3, _n=name: ("triple-plus", _n, v1, v2, v3)):
@@ -385,7 +374,7 @@ class _BlockKernel:
                 np.add(operand(*sum_op), operand(*diff_op), out=x)
                 a1 = self.rt[f1][:, hi1, None]
                 # (F1, F2) at (v1, v2): X - 2*RD(F1, v1) + RD(F2, v2) = T
-                checks["mixed-pair"] += hits.size
+                checks += hits.size
                 np.add(x, self.v2_rd[f2], out=y)
                 np.equal(y, T + 2 * a1, out=hits)
                 if take("mixed-pair", lambda v1, v2, _, _a=f1, _b=f2: ("mixed-pair", _a, _b, v1, v2)):
@@ -393,29 +382,12 @@ class _BlockKernel:
                 if "mixed-pair" not in need:
                     break
                 # (F2, F1) at (v2, v1): X - 2*RD(F2, v2) + RD(F1, v1) = T
-                checks["mixed-pair"] += hits.size
+                checks += hits.size
                 np.subtract(x, self.v2_rd2[f2], out=y)
                 np.equal(y, T - a1, out=hits)
                 if take("mixed-pair", lambda v1, v2, _, _a=f1, _b=f2: ("mixed-pair", _b, _a, v2, v1)):
                     return out, checks
         return out, checks
-
-
-_WORKER_KERNEL: _BlockKernel | None = None
-
-
-def _init_worker(m: int, rd_by_name: dict[str, np.ndarray]) -> None:
-    global _WORKER_KERNEL
-    _WORKER_KERNEL = _BlockKernel(m, rd_by_name)
-
-
-def _chunk_task(args: tuple) -> tuple[list[tuple], dict[str, int]]:
-    assert _WORKER_KERNEL is not None
-    return _WORKER_KERNEL.scan(*args)
-
-
-def _resolve_processes(processes: int | None) -> int:
-    return max(1, int(processes or os.cpu_count() or 1))
 
 
 def _raw_to_witness(m: int, raw: tuple) -> SpectralWitness:
@@ -437,8 +409,10 @@ def _raw_to_witness(m: int, raw: tuple) -> SpectralWitness:
     return SpectralWitness("mixed-pair", (f1, f2), (v1, v2), pair)
 
 
-def _over_budget(done: int, total: int, unit: str = "chunks") -> CapacityError:
-    return CapacityError(f"budget exceeded after {done}/{total} {unit}", completed_fraction=done / total)
+def _check_cap(exhaustive: bool, max_witnesses: int) -> None:
+    # with no witness to report, a non-minimal code would read as minimal
+    if exhaustive and max_witnesses < 1:
+        raise ValueError(f"max_witnesses must be at least 1, got {max_witnesses}")
 
 
 def spectral_sweep(
@@ -447,92 +421,26 @@ def spectral_sweep(
     exhaustive: bool = False,
     per_condition: bool = False,
     max_witnesses: int = 1000,
-    processes: int | None = None,
-    budget_seconds: float | None = None,
 ) -> MinimalityVerdict:
     """Evaluate the exact spectral criterion on every pair (v1, v2).
 
     Default mode stops at the first violation; ``per_condition`` keeps
     scanning until each of the three conditions has either a witness or a
-    clean sweep (used by the per-condition reports); ``exhaustive``
-    collects up to ``max_witnesses`` violations.  ``budget_seconds`` caps
-    wall-clock time and raises :class:`CapacityError` carrying the
-    completed fraction; no chunk is queued after the deadline, but the call
-    still waits for the chunks in flight, at most one per worker.
-    ``processes`` (None or 0: the CPU count) sets the number of workers;
-    witnesses and the check count are deterministic for fixed inputs
-    regardless of it.
+    clean sweep; ``exhaustive``
+    collects up to ``max_witnesses`` violations.  One process, no budget:
+    this is the oracle the faster paths of :func:`spectral_check` are
+    tested against.
     """
-    m = spec.m
-    rd_by_name = {name: spec.spectra[name].rd for name in FAMILY_NAMES}
+    _check_cap(exhaustive, max_witnesses)
     if exhaustive:
         mode, cap = "exhaustive", max_witnesses
     elif per_condition:
         mode, cap = "per-condition", 3
     else:
         mode, cap = "first", 1
-
-    total = gf3.pow3(m)
-    chunks = [(s, min(s + _CHUNK, total)) for s in range(0, total, _CHUNK)]
-    n_proc = min(_resolve_processes(processes), len(chunks))
-    deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
-
-    raws: list[tuple] = []
-    checks = 0
-    satisfied: set[str] = set()
-
-    def absorb(chunk_raws: list[tuple], chunk_checks: dict[str, int]) -> bool:
-        """Merge one chunk's hits; return True when scanning may stop.
-
-        A chunk queued before a condition was satisfied still scans it;
-        its checks count only toward conditions still open.
-        """
-        nonlocal checks
-        checks += sum(n for cond, n in chunk_checks.items() if cond not in satisfied)
-        for raw in chunk_raws:
-            if mode == "per-condition":
-                if raw[0] in satisfied:
-                    continue
-                satisfied.add(raw[0])
-            raws.append(raw)
-        if mode == "first" and raws:
-            return True
-        if mode == "per-condition" and satisfied == set(ALL_CONDITIONS):
-            return True
-        if mode == "exhaustive" and len(raws) >= cap:
-            return True
-        return False
-
-    # One loop for both cases: at most n_proc chunks in flight, each built
-    # when queued, so it scans only the conditions still open then.
-    kernel = _BlockKernel(m, rd_by_name) if n_proc == 1 else None
-    pool = None if n_proc == 1 else ProcessPoolExecutor(
-        n_proc, initializer=_init_worker, initargs=(m, rd_by_name)
-    )
-    queued: deque = deque()
-    try:
-        for done_chunks in range(len(chunks)):
-            remaining = None if deadline is None else deadline - time.monotonic()
-            if remaining is not None and remaining <= 0:
-                raise _over_budget(done_chunks, len(chunks))
-            for start, end in chunks[done_chunks + len(queued) : done_chunks + n_proc]:
-                args = (start, end, mode, tuple(c for c in ALL_CONDITIONS if c not in satisfied), cap)
-                queued.append(args if pool is None else pool.submit(_chunk_task, args))
-            item = queued.popleft()
-            if pool is None:
-                result = kernel.scan(*item)
-            else:
-                try:
-                    result = item.result(timeout=remaining)
-                except FutureTimeoutError:
-                    raise _over_budget(done_chunks, len(chunks)) from None
-            if absorb(*result):
-                break
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
-
-    witnesses = [_raw_to_witness(m, raw) for raw in raws[:cap]]
+    rd_by_name = {name: spec.spectra[name].rd for name in FAMILY_NAMES}
+    raws, checks = _BlockKernel(spec.m, rd_by_name).scan(mode, cap)
+    witnesses = [_raw_to_witness(spec.m, raw) for raw in raws]
     return MinimalityVerdict(not witnesses, "spectral", witnesses, checks)
 
 
@@ -744,18 +652,21 @@ def spectral_check(
 ) -> MinimalityVerdict:
     """Evaluate the exact spectral minimality criterion.
 
-    Same arguments and result as :func:`spectral_sweep`.  When the orbit
-    pre-check finds weight-symmetric spectra and no violated orbit, the
-    clean verdict is returned at once.  Otherwise the lines through the
-    heavy points decide it, on one process: a clean verdict, the first
-    violation, or each condition's first violation are reported as the
-    sweep reports them, check count included (a clean sweep counts
-    20*3^(2m) - 8*3^m checks in every mode).  Only an exhaustive run with
-    a violation runs the sweep, on ``processes`` workers and what is left
-    of ``budget_seconds``.  A budget spent before the line scan raises
-    :class:`CapacityError` with ``completed_fraction`` 0; one spent during
-    it raises between batches with the share of heavy points done.
+    Returns the verdict :func:`spectral_sweep` returns with the same
+    ``exhaustive``, ``per_condition`` and ``max_witnesses``, witnesses and
+    check count included (a clean sweep counts 20*3^(2m) - 8*3^m checks in
+    every mode).  When the orbit pre-check finds weight-symmetric spectra
+    and no violated orbit, the clean verdict is returned at once.
+    Otherwise the lines through the heavy points decide it in every mode,
+    on one process: the first violation, each condition's first violation,
+    or the first ``max_witnesses`` violations in the sweep's scan order.
+    ``processes`` is ignored; the perfbench workloads still pass it.
+    ``budget_seconds`` caps wall-clock time: a budget spent before the
+    line scan raises :class:`CapacityError` with ``completed_fraction`` 0,
+    one spent during it raises between batches with the share of heavy
+    points done.
     """
+    _check_cap(exhaustive, max_witnesses)
     m = spec.m
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
 
@@ -770,27 +681,28 @@ def spectral_check(
         return clean
     points = heavy_points(spec)
     first: dict[str, int] = {}  # condition -> its smallest key
+    kept = np.zeros(0, np.int64)  # exhaustive: the smallest unique keys
     _, _, stride = _key_layout(m)
     for done, keys in _line_keys(spec, points):
-        cond_of_key = np.take(_CONDITION_OF, keys // stride % _COMPARISONS)
-        for cond in ALL_CONDITIONS:
-            hits = keys[cond_of_key == cond]
-            if hits.size:
-                key = int(hits.min())
-                first[cond] = min(key, first.get(cond, key))
+        if exhaustive:  # a pair on two lines yields its hits twice
+            kept = np.unique(np.concatenate([kept, keys]))[:max_witnesses]
+        else:
+            cond_of_key = np.take(_CONDITION_OF, keys // stride % _COMPARISONS)
+            for cond in ALL_CONDITIONS:
+                hits = keys[cond_of_key == cond]
+                if hits.size:
+                    key = int(hits.min())
+                    first[cond] = min(key, first.get(cond, key))
         if done < len(points) and spent():
-            raise _over_budget(done, len(points), "heavy points")
-    if not first:
+            message = f"budget exceeded after {done}/{len(points)} heavy points"
+            raise CapacityError(message, completed_fraction=done / len(points))
+    if not first and not kept.size:
         return clean
     if exhaustive:
-        return spectral_sweep(
-            spec,
-            exhaustive=True,
-            max_witnesses=max_witnesses,
-            processes=processes,
-            budget_seconds=None if deadline is None else deadline - time.monotonic(),
-        )
-    if per_condition:
+        reported = kept.tolist()
+        # the sweep stops at the comparison holding its last witness
+        checks = _sweep_checks(m, None, reported[-1]) if len(reported) == max_witnesses else clean.checks
+    elif per_condition:
         reported = sorted(first.values())
         checks = sum(_sweep_checks(m, cond, first.get(cond)) for cond in ALL_CONDITIONS)
     else:

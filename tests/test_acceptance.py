@@ -1,7 +1,7 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  Criterion 4 is the
-full-scale spectral certification sweep (about a minute with two workers,
+full-scale spectral certification sweep (about 12 s on one process,
 comfortably inside its 15-minute budget) and is marked slow but runs by
 default.
 """
@@ -105,7 +105,7 @@ def test_criterion_3_minimality_cross_oracle():
         for _ in range(per_m):
             spec = random_valid_spec(m, rng)
             bf = is_minimal_bruteforce(spec)
-            t2 = spectral_check(spec, processes=1)
+            t2 = spectral_check(spec)
             assert bf.minimal == t2.minimal, f"verdict mismatch at m={m}"
             if t2.minimal:
                 minimal_seen += 1

@@ -188,17 +188,9 @@ def test_minimality_nonminimal_exit_code_and_witness(capsys, pair2):
     assert obj["cover-oracle"]["witnesses"][0]["kind"] == "cover"
 
 
-def test_minimality_deterministic_across_threads(capsys, pair2):
-    fpath, gpath = pair2
-    rc1, out1 = run(capsys, "minimality", "--f", fpath, "--g", gpath, "--threads", "1")
-    rc2, out2 = run(capsys, "minimality", "--f", fpath, "--g", gpath, "--threads", "2")
-    assert rc1 == rc2 == 1
-    assert out1 == out2
-
-
 def test_minimality_budget_exit_code(capsys, pair3):
     fpath, gpath = pair3
-    rc, out = run(capsys, "minimality", "--f", fpath, "--g", gpath, "--budget", "0", "--threads", "1")
+    rc, out = run(capsys, "minimality", "--f", fpath, "--g", gpath, "--budget", "0")
     assert rc == 3
     obj = json.loads(out)
     assert obj["error"] == "capacity"
@@ -218,7 +210,11 @@ def test_minimality_orbit_path_stdout_matches_sweep(capsys, tmp_path, monkeypatc
     argv = ["minimality", "--f", str(fp), "--g", str(gp), *extra]
     orbit = run(capsys, *argv)
     assert orbit[0] == 0
-    monkeypatch.setattr(minimality, "spectral_check", minimality.spectral_sweep)
+
+    def sweep(spec, exhaustive, **_):  # the sweep takes no budget
+        return minimality.spectral_sweep(spec, exhaustive=exhaustive)
+
+    monkeypatch.setattr(minimality, "spectral_check", sweep)
     assert run(capsys, *argv) == orbit
 
 

@@ -132,7 +132,7 @@ def test_cross_oracle_agreement_with_witness_confirmation():
         for _ in range(25):
             spec = random_valid_spec(m, rng)
             bf = is_minimal_bruteforce(spec)
-            t2 = spectral_check(spec, processes=1)
+            t2 = spectral_check(spec)
             assert bf.minimal == t2.minimal
             if not t2.minimal:
                 seen_nonminimal += 1
@@ -146,73 +146,48 @@ def test_spectral_exhaustive_and_per_condition_modes():
     spec = None
     while spec is None:
         candidate = random_valid_spec(2, rng)
-        if not spectral_check(candidate, processes=1).minimal:
+        if not spectral_check(candidate).minimal:
             spec = candidate
-    exhaustive = spectral_check(spec, exhaustive=True, max_witnesses=50, processes=1)
+    exhaustive = spectral_check(spec, exhaustive=True, max_witnesses=50)
     assert not exhaustive.minimal
     assert len(exhaustive.witnesses) >= 1
     for w in exhaustive.witnesses[:10]:
         assert confirm_witness(spec, w)
-    per_cond = spectral_check(spec, per_condition=True, processes=1)
+    per_cond = spectral_check(spec, per_condition=True)
     labels = {w.condition for w in per_cond.witnesses}
     assert labels <= {"triple-minus", "triple-plus", "mixed-pair"}
     assert len(per_cond.witnesses) == len(labels)
 
 
-def test_spectral_determinism_across_process_counts():
-    # m = 6 spans two scheduling chunks: an exhaustive run with a violation
-    # sweeps, on the pool with processes=2 and with the window capped at the
-    # two chunks with processes=3; the heavy lines ignore processes
-    assert gf3.pow3(6) > minimality._CHUNK
+def test_spectral_budget():
     specs = (
+        random_valid_spec(4, np.random.default_rng(9)),
+        shell_spec(5, 2, 4),
         random_valid_spec(6, np.random.default_rng(55)),
-        # functions of wt(x) with only mixed-pair violated: a chunk queued
-        # before the violation is found still scans it
-        weight_symmetric_spec(6, [0, 2, 0, 2, 1, 1, 1], [0, 2, 0, 0, 1, 1, 1]),
+        # not weight-symmetric: the heavy-line path must not start
+        scrambled_spec(shell_spec(5, 2, 4), nonmonomial(5)),
     )
     for spec in specs:
-        for mode in MODES:
-            v1 = spectral_check(spec, processes=1, **mode).to_json_obj()
-            for processes in (2, 3):
-                assert spectral_check(spec, processes=processes, **mode).to_json_obj() == v1
-
-
-def test_spectral_budget():
-    cases = (
-        (random_valid_spec(4, np.random.default_rng(9)), 1),
-        (shell_spec(5, 2, 4), 1),
-        # two chunks: a sweep would start the pool
-        (random_valid_spec(6, np.random.default_rng(55)), 2),
-        # not weight-symmetric: the heavy-line path must not start
-        (scrambled_spec(shell_spec(5, 2, 4), nonmonomial(5)), 1),
-    )
-    assert gf3.pow3(6) > minimality._CHUNK
-    for spec, processes in cases:
         with pytest.raises(CapacityError) as exc:
-            spectral_check(spec, budget_seconds=0.0, processes=processes)
+            spectral_check(spec, budget_seconds=0.0)
         assert exc.value.completed_fraction == 0.0
-    with pytest.raises(CapacityError) as exc:  # the sweep's own check, with the pool
-        spectral_sweep(cases[2][0], budget_seconds=0.0, processes=2)
-    assert exc.value.completed_fraction == 0.0
 
 
 @settings(deadline=None, max_examples=20)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_verdict_flag_matches_witnesses(seed):
     spec = random_valid_spec(2, np.random.default_rng(seed))
-    v = spectral_check(spec, processes=1)
+    v = spectral_check(spec)
     assert v.minimal == (len(v.witnesses) == 0)
 
 
 def test_spectral_parallel_path_determinism_with_witness():
     # a single-bump f guarantees a covering violation (its weight-1 word
-    # sits inside most linear words); m = 6 spans two scheduling chunks, so
-    # the sweep with processes=2 runs on the pool
+    # sits inside most linear words)
     import terncode.code as code_mod
     from terncode.errors import ValidationError
 
     m = 6
-    assert gf3.pow3(m) > minimality._CHUNK
     rng = np.random.default_rng(606)
     f_tab = np.zeros(3**m, dtype=np.int8)
     f_tab[5] = 1
@@ -224,12 +199,10 @@ def test_spectral_parallel_path_determinism_with_witness():
             break
         except ValidationError:
             continue
-    serial = spectral_check(spec, processes=1)
-    parallel = spectral_check(spec, processes=2)
-    assert serial.minimal is False and parallel.minimal is False
-    assert serial.witnesses == parallel.witnesses
-    assert spectral_sweep(spec, processes=2).witnesses == serial.witnesses
-    assert confirm_witness(spec, serial.witnesses[0])
+    verdict = spectral_check(spec)
+    assert verdict.minimal is False
+    assert spectral_sweep(spec).witnesses == verdict.witnesses
+    assert confirm_witness(spec, verdict.witnesses[0])
 
 
 def naive_violations(spec) -> set[tuple]:
@@ -273,7 +246,7 @@ def test_exhaustive_sweep_matches_naive_oracle():
     specs.append(weight_symmetric_spec(4, [0, 0, 2, 0, 2], [0, 0, 2, 0, 1]))
     seen = set()
     for spec in specs:
-        verdict = spectral_sweep(spec, exhaustive=True, max_witnesses=10**9, processes=1)
+        verdict = spectral_sweep(spec, exhaustive=True, max_witnesses=10**9)
         found = [(w.condition, w.functions, w.vectors) for w in verdict.witnesses]
         assert len(set(found)) == len(found)
         assert set(found) == naive_violations(spec)
@@ -290,16 +263,18 @@ def test_orbit_precheck_agrees_with_sweep():
     specs += [
         weight_symmetric_spec(6, [0, 1, 2, 2, 0, 0, 0], [0, 1, 1, 0, 0, 0, 2]),
         weight_symmetric_spec(7, [0, 0, 2, 0, 2, 0, 0, 1], [0, 1, 0, 1, 1, 0, 0, 1]),
+        # violates mixed-pair only
+        weight_symmetric_spec(6, [0, 2, 0, 2, 1, 1, 1], [0, 2, 0, 0, 1, 1, 1]),
     ]
     minimal = 0
     for spec in specs:
-        swept = spectral_sweep(spec, per_condition=True, processes=1)
+        swept = spectral_sweep(spec, per_condition=True)
         assert orbit_violations(spec) == {w.condition for w in swept.witnesses}
         minimal += swept.minimal
         for mode in MODES:
             # a clean sweep scans every pair, so it is the same in every mode
-            expected = swept if swept.minimal else spectral_sweep(spec, processes=1, **mode)
-            assert spectral_check(spec, processes=1, **mode).to_json_obj() == expected.to_json_obj()
+            expected = swept if swept.minimal else spectral_sweep(spec, **mode)
+            assert spectral_check(spec, **mode).to_json_obj() == expected.to_json_obj()
     assert 2 < minimal < len(specs)
 
 
@@ -366,15 +341,40 @@ def test_heavy_path_json_matches_sweep():
         while orbit_violations(spec) == set():
             spec = random_weight_symmetric_spec(m, rng)
         specs.append(scrambled_spec(spec, nonmonomial(m)))
-    minimal = scrambled_spec(shell_spec(6, 2, 4), nonmonomial(6))
-    assert gf3.pow3(6) > minimality._CHUNK  # processes=2 drives the sweep's pool at m = 6
-    for spec in [*specs, minimal]:
+    minimal = [
+        scrambled_spec(shell_spec(6, 2, 4), nonmonomial(6)),
+        random_valid_spec(6, np.random.default_rng(55)),  # no heavy point at all
+    ]
+    for spec in [*specs, *minimal]:
         assert orbit_violations(spec) is None  # so spectral_check takes the heavy lines
         for mode in MODES:
-            for processes in (1, 2):
-                swept = spectral_sweep(spec, processes=processes, **mode).to_json_obj()
-                assert swept["minimal"] is (spec is minimal)
-                assert spectral_check(spec, processes=processes, **mode).to_json_obj() == swept
+            swept = spectral_sweep(spec, **mode).to_json_obj()
+            assert swept["minimal"] is any(spec is s for s in minimal)
+            assert spectral_check(spec, **mode).to_json_obj() == swept
+
+
+def test_exhaustive_run_uses_the_line_keys(monkeypatch):
+    # 3,022 violations; the sweep stops counting at the comparison that
+    # holds its last reported witness, so the count must not depend on how
+    # the rows are split (the 2,375th violation lies past v1 = 485)
+    spec = sparse_random_spec(6, np.random.default_rng(5))
+    caps = (1, 7, 2374, 2375, 10**9)
+    swept = {cap: spectral_sweep(spec, exhaustive=True, max_witnesses=cap).to_json_obj() for cap in caps}
+    assert swept[2375]["checks"] == 7_101_648
+    assert len(swept[10**9]["witnesses"]) == 3022
+    assert swept[10**9]["checks"] == 20 * 3**12 - 8 * 3**6
+
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("spectral_check ran the sweep")
+
+    monkeypatch.setattr(minimality, "spectral_sweep", no_sweep)
+    for cap in caps:
+        assert spectral_check(spec, exhaustive=True, max_witnesses=cap).to_json_obj() == swept[cap]
+    for mode in MODES:
+        assert not spectral_check(spec, **mode).minimal
+    for certify in (spectral_check, spectral_sweep):  # no witness list would read as minimal
+        with pytest.raises(ValueError):
+            certify(spec, exhaustive=True, max_witnesses=0)
 
 
 def test_heavy_points_respect_parseval():
