@@ -55,11 +55,11 @@ def _load_pair(args) -> code_mod.CodeSpec:
 def _cmd_kraw(args) -> int:
     if args.lloyd:
         if args.k is None:
-            raise SystemExit("terncode kraw: --lloyd requires --k")
+            raise ValueError("kraw: --lloyd requires --k")
         print(kraw.lloyd(args.k, args.x, args.m, args.h))
     else:
         if args.t is None:
-            raise SystemExit("terncode kraw: --t is required (or use --lloyd --k)")
+            raise ValueError("kraw: --t is required (or use --lloyd --k)")
         print(kraw.krawtchouk(args.t, args.x, args.m, args.h))
     return EXIT_OK
 
@@ -106,7 +106,7 @@ def _cmd_construct(args) -> int:
         f, g = hwconstruct.build_fg(p)
         if args.out_f or args.out_g:
             if not (args.out_f and args.out_g):
-                raise SystemExit("terncode construct: --out-f and --out-g go together")
+                raise ValueError("construct: --out-f and --out-g go together")
             Path(args.out_f).write_text(f.to_text())
             Path(args.out_g).write_text(g.to_text())
         else:
@@ -166,6 +166,8 @@ def _cmd_minimality(args) -> int:
             exhaustive=args.exhaustive,
             budget_seconds=args.budget,
         )
+        if args.exhaustive and len(verdicts["spectral"].witnesses) == minimality.MAX_WITNESSES:
+            print(f"terncode: stopped at {minimality.MAX_WITNESSES} violations; more may exist", file=sys.stderr)
     if args.method in ("oracle", "both"):
         verdicts["cover-oracle"] = minimality.is_minimal_bruteforce(spec)
     obj = {name: v.to_json_obj() for name, v in verdicts.items()}
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--f", required=True)
     p.add_argument("--g", required=True)
-    p.add_argument("--exhaustive", action="store_true", help="collect all violations, not just the first")
+    p.add_argument("--exhaustive", action="store_true", help=f"collect up to {minimality.MAX_WITNESSES} violations")
     p.add_argument("--budget", type=float, default=None, help="wall-clock cap in seconds")
     p.set_defaults(handler=_cmd_minimality)
 

@@ -147,7 +147,7 @@ def weight_of(spec: CodeSpec, u: int, r: int, v: int) -> int:
         return 0 if v == 0 else 2 * 3 ** (spec.m - 1)
     name, sign = UR_TO_FAMILY[(u, r)]
     shift = gf3.neg_index(spec.m, v) if sign > 0 else v
-    rd = spec.spectra[name].real_doubled(shift)
+    rd = int(spec.spectra[name].rd[shift])
     return 2 * 3 ** (spec.m - 1) - _exact_third(rd)
 
 
@@ -233,8 +233,9 @@ def cwe(spec: CodeSpec) -> CompleteWeightEnumerator:
     simplex = (3 ** (m - 1) - 1, 3 ** (m - 1), 3 ** (m - 1))
     terms[simplex] = terms.get(simplex, 0) + total - 1
     # N1, N2 <= 3^m, so key = N1*(3^m + 1) + N2 < (3^m + 1)^2 <= 1.9e15 < 2^63
-    # for m <= MAX_M = 16.  t0 is implied: N0 = 3^m - N1 - N2 (CountSpectrum
-    # enforces the sum), less the x = 0 coordinate, always of value 0.
+    # for m <= MAX_M = 16.  t0 is implied: N0 = 3^m - N1 - N2 (derived; the
+    # CountSpectrum checks N1 + N2 <= 3^m), less the x = 0 coordinate, always
+    # of value 0.
     base = total + 1
     for name in FAMILY_NAMES:
         sp = spec.spectra[name]
@@ -270,23 +271,12 @@ class Codeword:
         return int(np.count_nonzero(self.word))
 
 
-def _linear_values(m: int, v: int) -> np.ndarray:
-    """v . x mod 3 for every index x, as int16."""
-    digs = gf3.digits_table(m)
-    out = np.zeros(gf3.pow3(m), dtype=np.int16)
-    for i in range(m):
-        d = (v // 3**i) % 3
-        if d:
-            out += d * digs[i]
-    out %= 3
-    return out
-
-
 def materialize(spec: CodeSpec, u: int, r: int, v: int) -> Codeword:
     if spec.m > MATERIALIZE_MAX_M:
         raise CapacityError(f"materialize supports m <= {MATERIALIZE_MAX_M}, got m={spec.m}")
     u, r = u % 3, r % 3
-    vals = (u * spec.f.table.astype(np.int16) + r * spec.g.table + _linear_values(spec.m, v)) % 3
+    linear = TernaryFunction.linear(spec.m, v).table
+    vals = (u * spec.f.table.astype(np.int16) + r * spec.g.table + linear) % 3
     word = vals[1:].astype(np.int8)
     cw = Codeword(u, r, v, word)
     if cw.hamming_weight() != weight_of(spec, u, r, v):

@@ -7,7 +7,8 @@ nonzero indices 1 .. 3^m - 1 in ascending order.
 
 Bulk work uses the cached dense lookup tables below (per-index digits,
 Hamming weights, negation and pairwise add/sub permutations), all plain
-numpy arrays; the scalar index helpers serve witnesses and tests.
+numpy arrays; the scalar helpers ``neg_index`` and ``sub_index`` serve
+witnesses.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def dot_matrix(m: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Scalar index arithmetic (cold paths: witnesses, CLI, tests)
+# Scalar index arithmetic (cold paths: witnesses)
 # ---------------------------------------------------------------------------
 
 
@@ -141,19 +142,9 @@ def neg_index(m: int, i: int) -> int:
     return int(neg_perm(m)[i])
 
 
-def add_index(m: int, i: int, j: int) -> int:
-    digs = digits_table(m)
-    return int(sum(int((digs[k, i] + digs[k, j]) % 3) * 3**k for k in range(m)))
-
-
 def sub_index(m: int, i: int, j: int) -> int:
     digs = digits_table(m)
     return int(sum(int((digs[k, i] - digs[k, j]) % 3) * 3**k for k in range(m)))
-
-
-def dot_index(m: int, i: int, j: int) -> int:
-    digs = digits_table(m)
-    return int((digs[:, i].astype(np.int64) * digs[:, j]).sum() % 3)
 
 
 def count_vectors_of_weight(m: int, i: int) -> int:

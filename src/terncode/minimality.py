@@ -409,6 +409,10 @@ def _raw_to_witness(m: int, raw: tuple) -> SpectralWitness:
     return SpectralWitness("mixed-pair", (f1, f2), (v1, v2), pair)
 
 
+# default witness cap of an exhaustive run
+MAX_WITNESSES = 1000
+
+
 def _check_cap(exhaustive: bool, max_witnesses: int) -> None:
     # with no witness to report, a non-minimal code would read as minimal
     if exhaustive and max_witnesses < 1:
@@ -420,7 +424,7 @@ def spectral_sweep(
     *,
     exhaustive: bool = False,
     per_condition: bool = False,
-    max_witnesses: int = 1000,
+    max_witnesses: int = MAX_WITNESSES,
 ) -> MinimalityVerdict:
     """Evaluate the exact spectral criterion on every pair (v1, v2).
 
@@ -615,7 +619,7 @@ def _key_to_raw(m: int, key: int) -> tuple:
     lo2, hi2 = divmod(rest, H)
     v1, v2 = lo1 + K * hi1, lo2 + K * hi2
     if c < 8:
-        v3 = gf3.neg_index(m, gf3.add_index(m, v1, v2))
+        v3 = gf3.sub_index(m, gf3.neg_index(m, v1), v2)
         return (_CONDITION_OF[c], FAMILY_NAMES[c // 2], v1, v2, v3)
     pair, order = divmod(c - 8, 2)
     f1, f2 = _MIXED_PAIRS[pair][:2]
@@ -646,7 +650,7 @@ def spectral_check(
     *,
     exhaustive: bool = False,
     per_condition: bool = False,
-    max_witnesses: int = 1000,
+    max_witnesses: int = MAX_WITNESSES,
     processes: int | None = None,
     budget_seconds: float | None = None,
 ) -> MinimalityVerdict:

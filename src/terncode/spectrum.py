@@ -7,10 +7,12 @@ element a + b*zeta of the ring Z[zeta_3] (zeta^2 = -1 - zeta).  The pair
     N_lambda(w) = #{x in F_3^m : F(x) - w.x = lambda},
 
 via a = N0 - N2, b = N1 - N2 and N0 + N1 + N2 = 3^m.  Downstream code
-consumes the counts (complete weight enumerators) and the doubled real
-part 2*Re(F_hat(w)) = 2a - b (weights and minimality tests); doubling
-removes the half introduced by Re(zeta) = -1/2, so every comparison
-against 3^m becomes an exact integer comparison against 2*3^m.
+consumes the counts N1, N2 (complete weight enumerators; N0 follows from
+them) and the doubled real part 2*Re(F_hat(w)) = 2a - b = 2*3^m - 3*(N1 + N2)
+(weights and minimality tests); doubling removes the half introduced by
+Re(zeta) = -1/2, so every comparison against 3^m becomes an exact integer
+comparison against 2*3^m.  A ``CountSpectrum`` stores N1, N2 and the
+doubled real part; N0, a and b are derived on demand.
 
 Two independent implementations are provided:
 
@@ -24,50 +26,10 @@ The test suite requires the two to agree bit-exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import gf3
 from .errors import CapacityError, ConsistencyError
-
-
-# ---------------------------------------------------------------------------
-# Z[zeta_3] scalars
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EisensteinInt:
-    """a + b*zeta with zeta a primitive cube root of unity (zeta^2 = -1 - zeta)."""
-
-    a: int
-    b: int
-
-    def __add__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other: "EisensteinInt") -> "EisensteinInt":
-        return EisensteinInt(self.a - other.a, self.b - other.b)
-
-    def __neg__(self) -> "EisensteinInt":
-        return EisensteinInt(-self.a, -self.b)
-
-    def __mul__(self, other: "EisensteinInt") -> "EisensteinInt":
-        a1, b1, a2, b2 = self.a, self.b, other.a, other.b
-        return EisensteinInt(a1 * a2 - b1 * b2, a1 * b2 + a2 * b1 - b1 * b2)
-
-    @classmethod
-    def zeta_power(cls, k: int) -> "EisensteinInt":
-        return (cls(1, 0), cls(0, 1), cls(-1, -1))[k % 3]
-
-    @property
-    def real_doubled(self) -> int:
-        return 2 * self.a - self.b
-
-    def norm(self) -> int:
-        """|a + b*zeta|^2 = a^2 - a*b + b^2 (a nonnegative integer)."""
-        return self.a * self.a - self.a * self.b + self.b * self.b
 
 
 # ---------------------------------------------------------------------------
@@ -169,27 +131,33 @@ def combine(u: int, r: int, f: TernaryFunction, g: TernaryFunction) -> TernaryFu
 
 
 class CountSpectrum:
-    """Exact per-shift value counts (N0, N1, N2) of F(x) - w.x over F_3^m."""
+    """Exact per-shift value counts N1, N2 of F(x) - w.x over F_3^m.
 
-    __slots__ = ("m", "n0", "n1", "n2", "rd")
+    N0 = 3^m - N1 - N2 is derived, like the ring coordinates a and b.
+    """
 
-    def __init__(self, m: int, n0, n1, n2):
+    __slots__ = ("m", "n1", "n2", "rd")
+
+    def __init__(self, m: int, n1, n2):
         total = gf3.pow3(m)
-        n0 = np.asarray(n0, dtype=np.int64)
         n1 = np.asarray(n1, dtype=np.int64)
         n2 = np.asarray(n2, dtype=np.int64)
-        if not (n0.shape == n1.shape == n2.shape == (total,)):
+        if not (n1.shape == n2.shape == (total,)):
             raise ValueError("count arrays must each have 3^m entries")
-        if (n0 < 0).any() or (n1 < 0).any() or (n2 < 0).any():
-            raise ConsistencyError("negative count in spectrum")
-        if not np.array_equal(n0 + n1 + n2, np.full(total, total, dtype=np.int64)):
-            raise ConsistencyError("counts do not sum to 3^m at every shift")
-        rd = 2 * n0 - n1 - n2
-        for arr in (n0, n1, n2, rd):
+        n12 = n1 + n2
+        if (n1 < 0).any() or (n2 < 0).any() or (n12 > total).any():
+            raise ConsistencyError("count out of range: N1 or N2 negative, or N1 + N2 > 3^m")
+        rd = 2 * total - 3 * n12
+        for arr in (n1, n2, rd):
             arr.setflags(write=False)
         self.m = m
-        self.n0, self.n1, self.n2 = n0, n1, n2
+        self.n1, self.n2 = n1, n2
         self.rd = rd  # doubled real part 2*Re(F_hat(w)) per shift
+
+    @property
+    def n0(self) -> np.ndarray:
+        """N0 = 3^m - N1 - N2 per shift."""
+        return gf3.pow3(self.m) - self.n1 - self.n2
 
     @property
     def a(self) -> np.ndarray:
@@ -201,24 +169,13 @@ class CountSpectrum:
         """Z[zeta] coordinate b = N1 - N2 per shift."""
         return self.n1 - self.n2
 
-    def value(self, w: int) -> EisensteinInt:
-        return EisensteinInt(int(self.a[w]), int(self.b[w]))
-
-    def real_doubled(self, w: int) -> int:
-        return int(self.rd[w])
-
-    def counts(self, w: int) -> tuple[int, int, int]:
-        return int(self.n0[w]), int(self.n1[w]), int(self.n2[w])
-
     @classmethod
     def from_transform_pair(cls, m: int, a: np.ndarray, b: np.ndarray) -> "CountSpectrum":
         """Recover counts from ring coordinates; non-divisibility is a bug."""
-        total = gf3.pow3(m)
-        rem = total - a - b
-        if (rem % 3).any():
+        n2, rem = np.divmod(gf3.pow3(m) - np.asarray(a, dtype=np.int64) - b, 3)
+        if rem.any():
             raise ConsistencyError("3^m - a - b not divisible by 3: transform produced an invalid pair")
-        n2 = rem // 3
-        return cls(m, a + n2, b + n2, n2)
+        return cls(m, b + n2, n2)
 
 
 # ---------------------------------------------------------------------------
@@ -255,9 +212,7 @@ def fast_count_spectrum(F: TernaryFunction) -> CountSpectrum:
         B[:, 1] = b0 - a1 + (a2 - b2)
         A[:, 2] = a0 - b1 + (b2 - a2)
         B[:, 2] = b0 + (a1 - b1) - a2
-    return CountSpectrum.from_transform_pair(
-        m, A.reshape(-1).astype(np.int64), B.reshape(-1).astype(np.int64)
-    )
+    return CountSpectrum.from_transform_pair(m, A.reshape(-1), B.reshape(-1))
 
 
 def naive_count_spectrum(F: TernaryFunction) -> CountSpectrum:
@@ -267,8 +222,7 @@ def naive_count_spectrum(F: TernaryFunction) -> CountSpectrum:
         raise CapacityError(f"naive transform is the small-m oracle (m <= 8), got m={m}")
     dots = gf3.dot_matrix(m)  # dots[w, x] = w.x mod 3
     vals = (F.table[None, :].astype(np.int16) - dots) % 3
-    n = [np.count_nonzero(vals == lam, axis=1).astype(np.int64) for lam in range(3)]
-    return CountSpectrum(m, n[0], n[1], n[2])
+    return CountSpectrum(m, np.count_nonzero(vals == 1, axis=1), np.count_nonzero(vals == 2, axis=1))
 
 
 def transform(F: TernaryFunction, method: str = "fast") -> CountSpectrum:

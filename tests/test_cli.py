@@ -57,6 +57,20 @@ def test_usage_error_exit_code():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["kraw", "--x", "0", "--m", "9"],  # no --t
+    ["kraw", "--lloyd", "--x", "0", "--m", "9"],  # --lloyd without --k
+    ["construct", "--m", "9", "--k1", "2", "--k2", "4", "--emit", "fg", "--out-f", "f.txt"],
+])
+def test_handler_usage_errors_exit_2(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("terncode: ")
+    assert not (tmp_path / "f.txt").exists()
+
+
 def test_construct_report(capsys):
     rc, out = run(capsys, "construct", "--m", "9", "--k1", "2", "--k2", "4")
     assert rc == 0
@@ -216,6 +230,26 @@ def test_minimality_orbit_path_stdout_matches_sweep(capsys, tmp_path, monkeypatc
 
     monkeypatch.setattr(minimality, "spectral_check", sweep)
     assert run(capsys, *argv) == orbit
+
+
+def test_minimality_exhaustive_notes_the_witness_cap(capsys, tmp_path, pair2):
+    import numpy as np
+    from conftest import sparse_random_spec
+    from terncode import minimality
+
+    spec = sparse_random_spec(6, np.random.default_rng(5))  # 3,022 violations
+    fp, gp = tmp_path / "f6.txt", tmp_path / "g6.txt"
+    fp.write_text(spec.f.to_text())
+    gp.write_text(spec.g.to_text())
+    assert main(["minimality", "--f", str(fp), "--g", str(gp), "--exhaustive"]) == 1
+    captured = capsys.readouterr()
+    verdict = minimality.spectral_check(spec, exhaustive=True)
+    assert len(verdict.witnesses) == minimality.MAX_WITNESSES
+    assert captured.out == json.dumps({"spectral": verdict.to_json_obj()}, indent=2) + "\n"
+    assert captured.err == f"terncode: stopped at {minimality.MAX_WITNESSES} violations; more may exist\n"
+    # fewer violations than the cap: the list is complete and no note is printed
+    assert main(["minimality", "--f", pair2[0], "--g", pair2[1], "--exhaustive"]) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_minimality_oracle_capacity(capsys, tmp_path):

@@ -91,15 +91,15 @@ def test_spectra_match_closed_rd_formulas_at_924():
         "f-g": 2 * total - 3 * (a + b + d),
     }
     for name, sp in spec.spectra.items():
-        assert sp.real_doubled(0) == expected_at_zero[name]
+        assert sp.rd[0] == expected_at_zero[name]
     for i in range(1, m + 1):
         w = int(np.flatnonzero(weights == i)[0])
-        assert spec.spectra["f"].real_doubled(w) == -3 * (psi(k2, i) + psi(k1 - 1, i) - psi(k1, i) - 1)
-        assert spec.spectra["g"].real_doubled(w) == -3 * (psi(k2, i) - psi(k1 - 1, i))
-        assert spec.spectra["f+g"].real_doubled(w) == -3 * psi(k2 - 1, i) + 3
-        assert spec.spectra["f-g"].real_doubled(w) == -3 * (psi(k2, i) + psi(k1, i) - psi(k2 - 1, i)) + 3
+        assert spec.spectra["f"].rd[w] == -3 * (psi(k2, i) + psi(k1 - 1, i) - psi(k1, i) - 1)
+        assert spec.spectra["g"].rd[w] == -3 * (psi(k2, i) - psi(k1 - 1, i))
+        assert spec.spectra["f+g"].rd[w] == -3 * psi(k2 - 1, i) + 3
+        assert spec.spectra["f-g"].rd[w] == -3 * (psi(k2, i) + psi(k1, i) - psi(k2 - 1, i)) + 3
     # the doubled real part at 0 of f+g pins the minimum distance
-    assert spec.spectra["f+g"].real_doubled(0) == 36864
+    assert spec.spectra["f+g"].rd[0] == 36864
     assert weight_of(spec, 1, 1, 0) == 834
 
 
