@@ -239,7 +239,7 @@ def cwe(spec: CodeSpec) -> CompleteWeightEnumerator:
     base = total + 1
     for name in FAMILY_NAMES:
         sp = spec.spectra[name]
-        keys, counts = np.unique(sp.n1 * base + sp.n2, return_counts=True)
+        keys, counts = np.unique(sp.n1.astype(np.int64) * base + sp.n2, return_counts=True)
         n1, n2 = np.divmod(keys, base)
         for t1, t2, c in zip(n1.tolist(), n2.tolist(), counts.tolist()):
             t0 = total - 1 - t1 - t2

@@ -287,7 +287,7 @@ class _BlockKernel:
         self.hi_digits, self.K, self.H, self.target = m - L, K, H, 2 * gf3.pow3(m)
         self.neg = gf3.neg_perm(m)
         self.rt = {
-            n: np.ascontiguousarray(rd.astype(np.int32).reshape(H, K).T) for n, rd in rd_by_name.items()
+            n: np.ascontiguousarray(rd.reshape(H, K).T) for n, rd in rd_by_name.items()
         }
         self.v2_rd = {n: rt.reshape(-1) for n, rt in self.rt.items()}  # RD(F, v2) by block column
         self.v2_rd2 = {n: 2 * r for n, r in self.v2_rd.items()}
@@ -476,6 +476,8 @@ def orbit_violations(spec: CodeSpec) -> set[str] | None:
     distinct = (na + nb + nd) > 0  # v1 = v2 (= v3) exactly when na = nb = nd = 0
     target = 2 * gf3.pow3(m)
     violated = set()
+    # rd_w is int32 like the spectra; every sum below is at most 10*3^m in
+    # absolute value, which fits by the ``10 * 3**gf3.MAX_M < 2**31`` assert
     for name in FAMILY_NAMES:
         A = rd_w[name]
         base = A[w1] + A[w2]
@@ -572,7 +574,7 @@ def _line_keys(spec: CodeSpec, points: np.ndarray):
     n, T = gf3.pow3(m), 2 * gf3.pow3(m)
     K, H, _ = _key_layout(m)
     neg = gf3.neg_perm(m)
-    rd = {name: spec.spectra[name].rd.astype(np.int32) for name in FAMILY_NAMES}
+    rd = {name: spec.spectra[name].rd for name in FAMILY_NAMES}
     j_all = np.arange(n)
     per_batch = max(1, _LINE_BATCH // (4 * n))  # points per batch
     seg = min(n, _LINE_BATCH // 4)  # j per batch when one point's lines do not fit

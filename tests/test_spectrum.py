@@ -34,6 +34,14 @@ def test_text_round_trip():
         TernaryFunction.from_text("m=2\n0120\n")
 
 
+@pytest.mark.parametrize("bad", ["3", "a", "é", "/"])
+def test_from_text_rejects_non_digits(bad):
+    # the right character count, one character outside {0,1,2}; "é" is two
+    # UTF-8 bytes and "/" sits just below "0"
+    with pytest.raises(ValueError, match=r"^digits must be drawn from \{0,1,2\}$"):
+        TernaryFunction.from_text(f"m=2\n0120{bad}1020\n")
+
+
 @pytest.mark.parametrize("m", range(1, 7))
 def test_to_text_matches_per_trit_loop(m):
     F = TernaryFunction.random(m, np.random.default_rng(m), zero_at_origin=False)
@@ -81,6 +89,33 @@ def test_fast_equals_naive_random():
                 assert np.array_equal(arr_f, arr_n)
 
 
+def test_fast_equals_naive_m8():
+    # the largest oracle dimension, and the first with L = H = 4 digits per half
+    F = TernaryFunction.random(8, np.random.default_rng(12), zero_at_origin=False)
+    s_fast, s_naive = fast_count_spectrum(F), naive_count_spectrum(F)
+    for arr_f, arr_n in ((s_fast.n1, s_naive.n1), (s_fast.n2, s_naive.n2), (s_fast.rd, s_naive.rd)):
+        assert np.array_equal(arr_f, arr_n)
+
+
+def test_spectrum_arrays_are_read_only_int32():
+    F = TernaryFunction.random(5, np.random.default_rng(4), zero_at_origin=False)
+    for sp in (fast_count_spectrum(F), naive_count_spectrum(F)):
+        for arr in (sp.n1, sp.n2, sp.rd):
+            assert arr.dtype == np.int32
+            assert not arr.flags.writeable
+        assert sp.a.dtype == sp.b.dtype == sp.n0.dtype == np.int64
+
+
+def test_zero_function_m12_hits_every_stage_bound():
+    # every stage of the zero function's butterfly reaches |a| = 3^k at w = 0
+    m = 12
+    sp = fast_count_spectrum(TernaryFunction.zeros(m))
+    assert sp.n0[0] == 3**m and sp.rd[0] == 2 * 3**m
+    assert sp.n1[0] == sp.n2[0] == 0
+    assert (sp.n1[1:] == 3 ** (m - 1)).all() and (sp.n2[1:] == 3 ** (m - 1)).all()
+    assert parseval_sum(sp) == 3 ** (2 * m)  # a(0)^2 = 3^24 wraps in int32
+
+
 def test_transform_method_switch():
     F = TernaryFunction.zeros(2)
     assert np.array_equal(transform(F, "fast").rd, transform(F, "naive").rd)
@@ -95,7 +130,7 @@ def test_naive_capacity():
 
 def test_parseval_random():
     rng = np.random.default_rng(5)
-    for m in (1, 3, 5):
+    for m in (1, 3, 5, 10, 12):
         for _ in range(10):
             F = TernaryFunction.random(m, rng, zero_at_origin=False)
             assert parseval_sum(fast_count_spectrum(F)) == 3 ** (2 * m)
