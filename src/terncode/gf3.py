@@ -5,10 +5,15 @@ A vector in F_3^m is identified with its base-3 index (little endian:
 order of F_3^m used by every other module: code coordinates run over the
 nonzero indices 1 .. 3^m - 1 in ascending order.
 
-Bulk work uses the cached dense lookup tables below (per-index digits,
-Hamming weights, negation and pairwise add/sub permutations), all plain
-numpy arrays; the scalar helpers ``neg_index`` and ``sub_index`` serve
-witnesses.
+Bulk work uses dense numpy lookup tables.  Hamming weights
+(``weights_table``), negation (``neg_perm``) and the pairwise add/sub rows
+(``add_perm_rows``, ``sub_perm_rows``) all come from one digit recursion,
+``_stack_digits``: the table for k + 1 digits is three stacked copies of
+the table for k digits, so each costs O(3^m) per row and needs no digit
+table.  The (m, 3^m) ``digits_table`` serves the small-m helpers
+(``dot_matrix``, ``TernaryFunction.linear``) and outside callers; no path
+that grows with m builds it.  The scalar helpers ``neg_index`` and
+``sub_index`` serve witnesses with integer digit arithmetic.
 """
 
 from __future__ import annotations
@@ -37,18 +42,39 @@ def check_dimension(m: int) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Cached per-dimension tables
+# Per-dimension tables, built by one digit recursion
 # ---------------------------------------------------------------------------
+
+
+def _stack_digits(table: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """Fill the last axis of ``table`` (3^m entries, the first one given) digit by digit.
+
+    ``steps`` has shape (..., m, 3).  The top digit is the slowest axis of an
+    index, so the entries for k + 1 digits are three stacked copies of the
+    entries for k digits, copy d offset by ``steps[..., k, d]``.
+    """
+    for k in range(steps.shape[-2]):
+        n = pow3(k)
+        for d in (1, 2, 0):  # copy 0 last: it is the source of the others
+            np.add(table[..., :n], steps[..., k, d, None], out=table[..., d * n : (d + 1) * n])
+    return table
+
+
+def _index_rows(m: int, rows, sign: int) -> np.ndarray:
+    """idx(v_r + sign * v_j) for each r in ``rows`` and every j; shape (len(rows), 3^m) int64."""
+    rows = np.asarray(rows, dtype=np.int64)
+    scale = 3 ** np.arange(m, dtype=np.int64)[:, None]
+    steps = (rows[:, None, None] // scale + sign * np.arange(3)) % 3 * scale  # [r, k, d]
+    return _stack_digits(np.zeros((len(rows), pow3(m)), dtype=np.int64), steps)
 
 
 @lru_cache(maxsize=None)
 def digits_table(m: int) -> np.ndarray:
     """Shape (m, 3^m) int8; row i holds digit i of every index."""
     check_dimension(m)
-    idx = np.arange(pow3(m), dtype=np.int64)
     table = np.empty((m, pow3(m)), dtype=np.int8)
     for i in range(m):
-        table[i] = (idx // 3**i) % 3
+        table[i].reshape(-1, 3, pow3(i))[...] = np.arange(3, dtype=np.int8)[:, None]
     table.setflags(write=False)
     return table
 
@@ -56,7 +82,8 @@ def digits_table(m: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def weights_table(m: int) -> np.ndarray:
     """Shape (3^m,) int8; Hamming weight of every index."""
-    w = (digits_table(m) != 0).sum(axis=0).astype(np.int8)
+    check_dimension(m)
+    w = _stack_digits(np.zeros(pow3(m), dtype=np.int8), np.tile(np.int8([0, 1, 1]), (m, 1)))
     w.setflags(write=False)
     return w
 
@@ -64,57 +91,20 @@ def weights_table(m: int) -> np.ndarray:
 @lru_cache(maxsize=None)
 def neg_perm(m: int) -> np.ndarray:
     """Permutation p with p[i] = index of -v_i (digitwise 1 <-> 2 swap)."""
-    digs = digits_table(m)
-    out = np.zeros(pow3(m), dtype=np.int64)
-    for i in range(m):
-        out += (np.int64(3) - digs[i]) % 3 * 3**i
+    check_dimension(m)
+    out = sub_perm_rows(m, [0])[0]
     out.setflags(write=False)
     return out
-
-
-@lru_cache(maxsize=None)
-def _componentwise_index_table(d: int, subtract: bool) -> np.ndarray:
-    """(3^d, 3^d) table of idx(a +/- b) for d-digit blocks; d=0 degenerates to [[0]]."""
-    if d == 0:
-        return np.zeros((1, 1), dtype=np.int64)
-    digs = digits_table(d).astype(np.int64)
-    out = np.zeros((pow3(d), pow3(d)), dtype=np.int64)
-    for i in range(d):
-        col = digs[i][:, None]
-        row = digs[i][None, :]
-        out += ((col - row) % 3 if subtract else (col + row) % 3) * 3**i
-    out.setflags(write=False)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _half_split(m: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Split every index into (low L digits, high m-L digits) once per m."""
-    low = (m + 1) // 2
-    idx = np.arange(pow3(m), dtype=np.int64)
-    lo = idx % pow3(low)
-    hi = idx // pow3(low)
-    lo.setflags(write=False)
-    hi.setflags(write=False)
-    return low, lo, hi
 
 
 def add_perm_rows(m: int, rows: np.ndarray) -> np.ndarray:
     """idx(v_r + v_j) for each r in ``rows`` and every j; shape (len(rows), 3^m)."""
-    low, lo, hi = _half_split(m)
-    t_lo = _componentwise_index_table(low, subtract=False)
-    t_hi = _componentwise_index_table(m - low, subtract=False)
-    rows = np.asarray(rows, dtype=np.int64)
-    return t_lo[lo[rows][:, None], lo[None, :]] + pow3(low) * t_hi[hi[rows][:, None], hi[None, :]]
+    return _index_rows(m, rows, 1)
 
 
 def sub_perm_rows(m: int, rows: np.ndarray) -> np.ndarray:
     """idx(v_r - v_j) for each r in ``rows`` and every j."""
-    low, lo, hi = _half_split(m)
-    t_lo = _componentwise_index_table(low, subtract=True)
-    t_hi = _componentwise_index_table(m - low, subtract=True)
-    rows = np.asarray(rows, dtype=np.int64)
-    return t_lo[lo[rows][:, None], lo[None, :]] + pow3(low) * t_hi[hi[rows][:, None], hi[None, :]]
+    return _index_rows(m, rows, -1)
 
 
 @lru_cache(maxsize=8)
@@ -139,12 +129,12 @@ def dot_matrix(m: int) -> np.ndarray:
 
 
 def neg_index(m: int, i: int) -> int:
-    return int(neg_perm(m)[i])
+    return sub_index(m, 0, i)
 
 
 def sub_index(m: int, i: int, j: int) -> int:
-    digs = digits_table(m)
-    return int(sum(int((digs[k, i] - digs[k, j]) % 3) * 3**k for k in range(m)))
+    # digit k of i - j is (i // 3^k - j // 3^k) mod 3
+    return int(sum((i // pow3(k) - j // pow3(k)) % 3 * pow3(k) for k in range(m)))
 
 
 def count_vectors_of_weight(m: int, i: int) -> int:

@@ -36,7 +36,7 @@ X = RD(F1+F2, v1+v2) + RD(F1-F2, v1-v2), because RD(-F, -w) = RD(F, w).
 One process scans the blocks in order and drops a condition once it is
 decided, so the scan order fixes the witnesses reported and the check
 count.  A clean sweep costs 20*3^(2m) - 8*3^m checks; on a 2-core machine
-it takes about 1.4 s at m = 8 and 15 s at m = 9.
+it takes about 0.9 s at m = 8 and 11 s at m = 9.
 
 ``spectral_check`` decides the same criterion without the sweep, in two
 steps.
@@ -71,8 +71,8 @@ count the sweep would report follows from it; an exhaustive witness list
 is the smallest unique keys.  The shell codes and their scrambled copies
 have P = {0} (four lines); uniformly random valid pairs from m = 6 on
 typically have P empty.  On a 2-core machine a scrambled (m, 2, 4) shell
-certifies in about 4 ms at m = 8, 0.03 s at m = 10 and 0.3 s at m = 12,
-where the sweep takes 1.4 s, minutes and hours.
+certifies in about 4 ms at m = 8, 0.03 s at m = 10 and 0.2 s at m = 12,
+where the sweep takes 0.9 s, minutes and hours.
 """
 
 from __future__ import annotations

@@ -4,7 +4,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from terncode import gf3
+from terncode.code import cwe, weight_distribution
 from terncode.errors import CapacityError
+from terncode.hwconstruct import HWParams, build_spec, condition_report
+from terncode.minimality import spectral_check
+
+from conftest import shell_spec, sparse_random_spec
 
 
 def test_dimension_cap():
@@ -35,22 +40,41 @@ def test_weight_class_sizes_exhaustive():
 
 
 def test_perm_tables_consistency():
-    m = 5
-    neg = gf3.neg_perm(m)
-    assert np.array_equal(neg[neg], np.arange(gf3.pow3(m)))
-    rows = np.array([0, 7, 100])
-    add = gf3.add_perm_rows(m, rows)
-    sub = gf3.sub_perm_rows(m, rows)
-    digits = lambda i: [(i // 3**k) % 3 for k in range(m)]
-    index = lambda ds: sum(d * 3**k for k, d in enumerate(ds))
-    for k, r in enumerate(rows):
-        for j in (0, 1, 50, 242):
-            a, b = digits(int(r)), digits(j)
-            assert add[k, j] == index([(x + y) % 3 for x, y in zip(a, b)])
-            assert sub[k, j] == gf3.sub_index(m, int(r), j) == index([(x - y) % 3 for x, y in zip(a, b)])
-    # v + 0 = v and v - v = 0
-    assert np.array_equal(add[:, 0], rows)
-    assert all(sub[k, int(r)] == 0 for k, r in enumerate(rows))
+    for m in range(1, 7):
+        n = gf3.pow3(m)
+        # inline reference: digit k of index i is (i // 3**k) % 3
+        digits = np.array([[(i // 3**k) % 3 for i in range(n)] for k in range(m)])
+        index = lambda ds: (ds % 3 * 3 ** np.arange(m)[:, None, None]).sum(axis=0)
+        rows = np.arange(n)
+        add_ref = index(digits[:, :, None] + digits[:, None, :])  # add_ref[r, j] = idx(v_r + v_j)
+        sub_ref = index(digits[:, :, None] - digits[:, None, :])
+        assert np.array_equal(gf3.add_perm_rows(m, rows), add_ref)
+        assert np.array_equal(gf3.sub_perm_rows(m, rows), sub_ref)
+        assert np.array_equal(gf3.add_perm_rows(m, rows[::-7]), add_ref[::-7])
+        assert np.array_equal(gf3.neg_perm(m), index(-digits[:, None, :])[0])
+        assert np.array_equal(gf3.weights_table(m), (digits != 0).sum(axis=0))
+        assert np.array_equal(gf3.digits_table(m), digits)
+        assert all(gf3.sub_index(m, i, j) == sub_ref[i, j] for i, j in [(0, 0), (1, n - 1), (n - 1, n // 2)])
+        tables = (gf3.add_perm_rows(m, rows[:1]), gf3.neg_perm(m), gf3.weights_table(m), gf3.digits_table(m))
+        assert [t.dtype for t in tables] == [np.int64, np.int64, np.int8, np.int8]
+    # m = 0 (the high digits of a sweep block at m <= 3): one zero entry per row
+    for table in (gf3.add_perm_rows(0, [0, 0, 0]), gf3.sub_perm_rows(0, [0, 0, 0])):
+        assert table.shape == (3, 1) and not table.any()
+
+
+def test_pipeline_builds_no_digits_table():
+    """No path that grows with m builds the (m, 3^m) digits table, even from cold caches."""
+    for table in (gf3.digits_table, gf3.weights_table, gf3.neg_perm):
+        table.cache_clear()
+    p = HWParams(9, 2, 4)
+    spec = build_spec(p)
+    condition_report(p, spec=spec)
+    weight_distribution(spec)
+    cwe(spec)
+    for s in (shell_spec(8, 2, 4), sparse_random_spec(6, np.random.default_rng(5))):
+        for mode in ({}, {"per_condition": True}, {"exhaustive": True}):
+            spectral_check(s, **mode)
+    assert gf3.digits_table.cache_info().currsize == 0
 
 
 @given(
