@@ -33,10 +33,14 @@ RD(F, +/-(v1 +/- v2)) is a column gather and a row gather of one int32
 table, with no per-pair index array.  Both orders of a mixed pair share
 one sum: (F1, F2) at (v1, v2) and (F2, F1) at (v2, v1) both need
 X = RD(F1+F2, v1+v2) + RD(F1-F2, v1-v2), because RD(-F, -w) = RD(F, w).
-One process scans the blocks in order and drops a condition once it is
-decided, so the scan order fixes the witnesses reported and the check
+One process scans every block and every comparison, in every mode, and
+yields the int64 scan-order key of each hit: block of v1, comparison,
+then (lo1, lo2, hi2) within the block.  One function turns hit keys into
+the verdict, for the sweep and the heavy-line path alike: the smallest
+key per condition (or the smallest keys of an exhaustive run) gives the
+witnesses, and the comparison of the last one reported gives the check
 count.  A clean sweep costs 20*3^(2m) - 8*3^m checks; on a 2-core machine
-it takes about 0.9 s at m = 8 and 11 s at m = 9.
+it takes about 0.9 s at m = 8 and 10-14 s at m = 9.
 
 ``spectral_check`` decides the same criterion without the sweep, in two
 steps.
@@ -64,11 +68,9 @@ negations.  Every operand argument is v1, v2, +/-(v1+v2) or +/-(v1-v2),
 so every violation lies on one of the lines v1 = p, v2 = p, v1+v2 = p and
 v1-v2 = p through a point p of P, each holding 3^m pairs.  Scanning those
 at most 4*|P| lines is therefore the whole criterion, not a pre-check.
-Each hit gets an int64 key in the sweep's scan order (block of v1,
-comparison, then (lo1, lo2, hi2) within the block), so the smallest key
-per condition is the witness the sweep would report first, and the check
-count the sweep would report follows from it; an exhaustive witness list
-is the smallest unique keys.  The shell codes and their scrambled copies
+Each hit gets the sweep's scan-order key, and the keys go through the
+sweep's verdict function, so the witnesses and the check count are the
+ones the sweep reports.  The shell codes and their scrambled copies
 have P = {0} (four lines); uniformly random valid pairs from m = 6 on
 typically have P empty.  On a 2-core machine a scrambled (m, 2, 4) shell
 certifies in about 4 ms at m = 8, 0.03 s at m = 10 and 0.2 s at m = 12,
@@ -260,6 +262,48 @@ _MIXED_PAIRS = tuple(
 )
 
 
+# The sweep's 20 block comparisons in scan order: c = 2*i_F + (0 minus,
+# 1 plus) for the triples of FAMILY_NAMES[i_F], then c = 8 + 2*pair + order
+# for _MIXED_PAIRS, order 0 being (F1, F2) at (v1, v2) and 1 (F2, F1) at
+# (v2, v1).
+_COMPARISONS = 20
+assert _COMPARISONS * 9**gf3.MAX_M < 2**63, "scan-order keys overflow int64 at MAX_M"
+_CONDITION_OF = ("triple-minus", "triple-plus") * 4 + ("mixed-pair",) * 12
+
+
+def _key_layout(m: int) -> tuple[int, int, int]:
+    """(K, H, stride) of the scan-order key: K = 3^min(3, m) rows per sweep
+    block, H = 3^m / K blocks, and stride = K*K*H = K*3^m per comparison.
+
+    A hit of comparison c at (v1, v2) has the key (v1 // K, c, v1 % K,
+    v2 % K, v2 // K) in mixed radix (H, 20, K, K, H), so keys ascend in
+    the sweep's scan order.
+    """
+    K = gf3.pow3(min(_BLOCK_DIGITS, m))
+    H = gf3.pow3(m) // K
+    return K, H, K * gf3.pow3(m)
+
+
+def _comparisons(target: int, rd_at, distinct):
+    """Yield the hit masks of the 20 comparisons, in the order of c.
+
+    ``rd_at(name, kind)`` gives RD(name, w) over the evaluated pairs, with
+    w = v1, v2, v1+v2, -(v1+v2) = v3, v1-v2 or v2-v1 for the kinds "v1",
+    "v2", "sum", "nsum", "diff" and "ndiff"; ``distinct`` is False where
+    v1 = v2 (= v3), which is degenerate for the triple conditions.
+    """
+    for name in FAMILY_NAMES:
+        x = rd_at(name, "v1") + rd_at(name, "v2")
+        a3 = rd_at(name, "nsum")
+        yield distinct & (x - 2 * a3 == target)  # triple-minus
+        yield distinct & (x + a3 == target)  # triple-plus
+    for f1, f2, sum_op, diff_op in _MIXED_PAIRS:
+        x = rd_at(*sum_op) + rd_at(*diff_op)
+        a1, a2 = rd_at(f1, "v1"), rd_at(f2, "v2")
+        yield x - 2 * a1 + a2 == target  # (F1, F2) at (v1, v2)
+        yield x - 2 * a2 + a1 == target  # (F2, F1) at (v2, v1)
+
+
 def _shift_tables(d: int, rows, neg_rows) -> dict[str, np.ndarray]:
     """idx(a+b), idx(-(a+b)), idx(a-b) and idx(b-a) for every d-digit b,
     one row per a in ``rows``; ``neg_rows`` holds the -a."""
@@ -278,7 +322,9 @@ class _BlockKernel:
     lo2*H + hi2 for v2 = lo2 + K*hi2.  With RT[F][lo, hi] = RD(F, lo + K*hi),
     RD(F, +/-(v1 +/- v2)) over a block is ``RT[F][:, col][lo_table]``: a
     gather of H columns picked by hi1 and a gather of whole rows picked by
-    (lo1, lo2), with no per-pair index array.
+    (lo1, lo2), with no per-pair index array.  The comparisons are written
+    out here in int32 rather than taken from :func:`_comparisons`, so the
+    sweep stays an independent oracle for the heavy-line path.
     """
 
     def __init__(self, m: int, rd_by_name: dict[str, np.ndarray]):
@@ -295,118 +341,154 @@ class _BlockKernel:
         lo = np.arange(K)
         self.lo = _shift_tables(L, lo, self.neg[lo])
         self.diag = lo * (K * H + H)  # flat block position of v2 = v1 in row lo1, less hi1
-        keys = {(n, "nsum") for n in FAMILY_NAMES} | {op for p in _MIXED_PAIRS for op in p[2:]}
-        self.ops = {key: np.empty((K, K * H), np.int32) for key in keys}
+        operands = {(n, "nsum") for n in FAMILY_NAMES} | {op for p in _MIXED_PAIRS for op in p[2:]}
+        self.ops = {op: np.empty((K, K * H), np.int32) for op in operands}
         self.col = np.empty((K, H), np.int32)
         self.x = np.empty((K, K * H), np.int32)
         self.y = np.empty((K, K * H), np.int32)
         self.hits = np.empty((K, K * H), bool)
 
-    def scan(self, mode: str, cap: int) -> tuple[list[tuple], int]:
-        """Scan every pair; return raw witness tuples and the check count.
+    def keys(self):
+        """Scan every pair; yield the scan-order keys of the hits of each
+        block that has any, as one ascending int64 array.
 
-        Mode "first" stops at the first hit, "per-condition" drops each
-        condition at its first hit and stops when all three are decided,
-        and "exhaustive" stops at ``cap`` hits.  Checks count the open
-        conditions up to and including the comparison where scanning stops.
-        Scan order is fixed: v1 blocks ascending; within a block the triple
-        conditions (family order, "triple-minus" then "triple-plus") before
-        mixed-pair (unordered pair order, (F1, F2) then (F2, F1)); hits
-        within one comparison in row-major block order (lo1, lo2, hi2).
+        Scan order is fixed: v1 blocks ascending; within a block the 20
+        comparisons c of ``_COMPARISONS``; hits within one comparison in
+        row-major block order (lo1, lo2, hi2).  The hit at flat block
+        position j of comparison c in block hi1 has the key
+        (hi1*20 + c)*K*3^m + j, as laid out in :func:`_key_layout`.
         """
         K, H, T = self.K, self.H, self.target
         x, y, hits = self.x, self.y, self.hits
-        need = set(ALL_CONDITIONS)
-        out: list[tuple] = []
-        checks = 0
-
-        for b0 in range(0, K * H, K):
-            hi1 = b0 // K
-            cols = _shift_tables(self.hi_digits, [hi1], [self.neg[b0] // K])
+        for hi1 in range(H):
+            cols = _shift_tables(self.hi_digits, [hi1], [self.neg[hi1 * K] // K])
             gathered: set[tuple[str, str]] = set()
 
             def operand(name: str, kind: str) -> np.ndarray:
                 """RD(name, w) over the block, w = v1+v2, -(v1+v2), v1-v2 or v2-v1 by kind."""
                 buf = self.ops[name, kind]
-                if (name, kind) not in gathered:
+                if (name, kind) not in gathered:  # gathered next to its use, while in cache
                     np.take(self.rt[name], cols[kind][0], axis=1, out=self.col, mode="clip")
                     np.take(self.col, self.lo[kind], axis=0, out=buf.reshape(K, K, H), mode="clip")
                     gathered.add((name, kind))
                 return buf
 
-            def take(label: str, raw) -> bool:
-                """Append raw(v1, v2, v3) per hit; return True when scanning is done."""
-                if not hits.any():
-                    return False
-                r, j = np.nonzero(hits)
-                n = cap - len(out) if mode == "exhaustive" else 1
-                r, lo2, hi2 = r[:n], j[:n] // H, j[:n] % H
-                v3 = self.lo["nsum"][r, lo2] + K * cols["nsum"][0, hi2]
-                out.extend(raw(int(a), int(b), int(c)) for a, b, c in zip(b0 + r, lo2 + K * hi2, v3))
-                if mode == "exhaustive":
-                    return len(out) >= cap
-                if mode == "per-condition":
-                    need.discard(label)
-                    return not need
-                return True  # mode "first"
+            found = []
 
-            if need & {"triple-minus", "triple-plus"}:
-                for name in FAMILY_NAMES:
-                    a3 = operand(name, "nsum")  # RD(F, v3) with v3 = -(v1 + v2)
-                    # x = T - RD(F, v1) - RD(F, v2)
-                    np.subtract(self.v2_rest[name], self.rt[name][:, hi1, None], out=x)
-                    if "triple-minus" in need:
-                        checks += hits.size - K
-                        np.multiply(a3, -2, out=y)
-                        np.equal(y, x, out=hits)
-                        hits.reshape(-1)[self.diag + hi1] = False  # v1 = v2 = v3 is degenerate
-                        if take("triple-minus", lambda v1, v2, v3, _n=name: ("triple-minus", _n, v1, v2, v3)):
-                            return out, checks
-                    if "triple-plus" in need:
-                        checks += hits.size - K
-                        np.equal(a3, x, out=hits)
-                        hits.reshape(-1)[self.diag + hi1] = False
-                        if take("triple-plus", lambda v1, v2, v3, _n=name: ("triple-plus", _n, v1, v2, v3)):
-                            return out, checks
-            for f1, f2, sum_op, diff_op in _MIXED_PAIRS:
-                if "mixed-pair" not in need:
-                    break
+            def emit(c: int) -> None:
+                if hits.any():
+                    found.append((hi1 * _COMPARISONS + c) * hits.size + np.flatnonzero(hits))
+
+            for i, name in enumerate(FAMILY_NAMES):
+                a3 = operand(name, "nsum")  # RD(F, v3) with v3 = -(v1 + v2)
+                # x = T - RD(F, v1) - RD(F, v2)
+                np.subtract(self.v2_rest[name], self.rt[name][:, hi1, None], out=x)
+                np.multiply(a3, -2, out=y)
+                np.equal(y, x, out=hits)  # triple-minus
+                hits.reshape(-1)[self.diag + hi1] = False  # v1 = v2 = v3 is degenerate
+                emit(2 * i)
+                np.equal(a3, x, out=hits)  # triple-plus
+                hits.reshape(-1)[self.diag + hi1] = False
+                emit(2 * i + 1)
+            for k, (f1, f2, sum_op, diff_op) in enumerate(_MIXED_PAIRS):
                 np.add(operand(*sum_op), operand(*diff_op), out=x)
                 a1 = self.rt[f1][:, hi1, None]
                 # (F1, F2) at (v1, v2): X - 2*RD(F1, v1) + RD(F2, v2) = T
-                checks += hits.size
                 np.add(x, self.v2_rd[f2], out=y)
                 np.equal(y, T + 2 * a1, out=hits)
-                if take("mixed-pair", lambda v1, v2, _, _a=f1, _b=f2: ("mixed-pair", _a, _b, v1, v2)):
-                    return out, checks
-                if "mixed-pair" not in need:
-                    break
+                emit(8 + 2 * k)
                 # (F2, F1) at (v2, v1): X - 2*RD(F2, v2) + RD(F1, v1) = T
-                checks += hits.size
                 np.subtract(x, self.v2_rd2[f2], out=y)
                 np.equal(y, T - a1, out=hits)
-                if take("mixed-pair", lambda v1, v2, _, _a=f1, _b=f2: ("mixed-pair", _b, _a, v2, v1)):
-                    return out, checks
-        return out, checks
+                emit(9 + 2 * k)
+            if found:
+                yield np.concatenate(found)
 
 
-def _raw_to_witness(m: int, raw: tuple) -> SpectralWitness:
-    """Map a raw violation to the covering codeword pair it certifies."""
-    if raw[0] == "triple-minus":
-        _, name, v1, v2, v3 = raw
+def _witness(m: int, key: int) -> SpectralWitness:
+    """The violation a scan-order key encodes, with the covering codeword
+    pair it certifies."""
+    K, H, stride = _key_layout(m)
+    hi1, rest = divmod(int(key), _COMPARISONS * stride)
+    c, rest = divmod(rest, stride)
+    lo1, rest = divmod(rest, K * H)
+    lo2, hi2 = divmod(rest, H)
+    v1, v2 = lo1 + K * hi1, lo2 + K * hi2
+    if c < 8:
+        name = FAMILY_NAMES[c // 2]
         u, r = FAMILY_TO_UR[name]
-        pair = ((u, r, gf3.neg_index(m, v3)), (u, r, gf3.neg_index(m, v1)))
-        return SpectralWitness("triple-minus", (name,), (v1, v2, v3), pair)
-    if raw[0] == "triple-plus":
-        _, name, v1, v2, v3 = raw
-        u, r = FAMILY_TO_UR[name]
-        pair = ((0, 0, gf3.sub_index(m, v2, v3)), (u, r, gf3.neg_index(m, v3)))
-        return SpectralWitness("triple-plus", (name,), (v1, v2, v3), pair)
-    _, f1, f2, v1, v2 = raw
-    u1, r1 = FAMILY_TO_UR[f1]
-    u2, r2 = FAMILY_TO_UR[f2]
+        v3 = gf3.sub_index(m, gf3.neg_index(m, v1), v2)
+        if _CONDITION_OF[c] == "triple-minus":
+            pair = ((u, r, gf3.neg_index(m, v3)), (u, r, gf3.neg_index(m, v1)))
+        else:
+            pair = ((0, 0, gf3.sub_index(m, v2, v3)), (u, r, gf3.neg_index(m, v3)))
+        return SpectralWitness(_CONDITION_OF[c], (name,), (v1, v2, v3), pair)
+    k, order = divmod(c - 8, 2)
+    f1, f2 = _MIXED_PAIRS[k][:2]
+    if order:
+        f1, f2, v1, v2 = f2, f1, v2, v1
+    (u1, r1), (u2, r2) = FAMILY_TO_UR[f1], FAMILY_TO_UR[f2]
     pair = ((u1, r1, gf3.neg_index(m, v1)), (u2, r2, gf3.neg_index(m, v2)))
     return SpectralWitness("mixed-pair", (f1, f2), (v1, v2), pair)
+
+
+def _sweep_checks(m: int, condition: str | None, key: int | None) -> int:
+    """Checks the sweep counts for ``condition`` (None: all three) up to and
+    including the hit ``key``, or over the whole sweep when ``key`` is None.
+
+    A block comparison counts K*3^m checks, less the K degenerate pairs
+    v1 = v2 for a triple comparison.
+    """
+    K, H, stride = _key_layout(m)
+    comps = [c for c in range(_COMPARISONS) if condition in (None, _CONDITION_OF[c])]
+
+    def size(c: int) -> int:
+        return stride - K if c < 8 else stride
+
+    if key is None:
+        return H * sum(map(size, comps))
+    block, c_hit = divmod(key // stride, _COMPARISONS)
+    return block * sum(map(size, comps)) + sum(size(c) for c in comps if c <= c_hit)
+
+
+def _verdict(
+    m: int, key_batches, exhaustive: bool, per_condition: bool, max_witnesses: int
+) -> MinimalityVerdict:
+    """The verdict of the sweep whose hits have the scan-order keys in
+    ``key_batches`` (int64 arrays, in any order, repeats allowed).
+
+    Default mode reports the smallest key, ``per_condition`` the smallest
+    key of each condition, and ``exhaustive`` the ``max_witnesses``
+    smallest unique keys.  The checks are those of a scan that stops at
+    the comparison of the last reported witness (with ``per_condition``,
+    that drops each condition at the comparison of its witness), and of
+    the whole sweep when nothing stops it: no violation, or fewer than
+    ``max_witnesses`` in an exhaustive run.
+    """
+    _, _, stride = _key_layout(m)
+    first: dict[str, int] = {}  # condition -> its smallest key
+    kept = np.zeros(0, np.int64)  # exhaustive: the smallest unique keys
+    for keys in key_batches:
+        if exhaustive:
+            kept = np.unique(np.concatenate([kept, keys]))[:max_witnesses]
+        else:
+            cond_of_key = np.take(_CONDITION_OF, keys // stride % _COMPARISONS)
+            for cond in ALL_CONDITIONS:
+                hits = keys[cond_of_key == cond]
+                if hits.size:
+                    key = int(hits.min())
+                    first[cond] = min(key, first.get(cond, key))
+    if exhaustive:
+        reported = kept.tolist()
+        checks = _sweep_checks(m, None, reported[-1] if len(reported) == max_witnesses else None)
+    elif per_condition:
+        reported = sorted(first.values())
+        checks = sum(_sweep_checks(m, cond, first.get(cond)) for cond in ALL_CONDITIONS)
+    else:
+        reported = sorted(first.values())[:1]
+        checks = _sweep_checks(m, None, reported[0] if reported else None)
+    witnesses = [_witness(m, key) for key in reported]
+    return MinimalityVerdict(not witnesses, "spectral", witnesses, checks)
 
 
 # default witness cap of an exhaustive run
@@ -428,24 +510,18 @@ def spectral_sweep(
 ) -> MinimalityVerdict:
     """Evaluate the exact spectral criterion on every pair (v1, v2).
 
-    Default mode stops at the first violation; ``per_condition`` keeps
-    scanning until each of the three conditions has either a witness or a
-    clean sweep; ``exhaustive``
-    collects up to ``max_witnesses`` violations.  One process, no budget:
-    this is the oracle the faster paths of :func:`spectral_check` are
-    tested against.
+    Every mode scans all pairs; the mode picks what is reported.  Default
+    mode reports the first violation in scan order, ``per_condition`` the
+    first of each of the three conditions, and ``exhaustive`` the first
+    ``max_witnesses``; the check count is the one a scan stopping at the
+    last reported witness would make.  One process, no budget: this is
+    the oracle the faster paths of :func:`spectral_check` are tested
+    against.
     """
     _check_cap(exhaustive, max_witnesses)
-    if exhaustive:
-        mode, cap = "exhaustive", max_witnesses
-    elif per_condition:
-        mode, cap = "per-condition", 3
-    else:
-        mode, cap = "first", 1
     rd_by_name = {name: spec.spectra[name].rd for name in FAMILY_NAMES}
-    raws, checks = _BlockKernel(spec.m, rd_by_name).scan(mode, cap)
-    witnesses = [_raw_to_witness(spec.m, raw) for raw in raws]
-    return MinimalityVerdict(not witnesses, "spectral", witnesses, checks)
+    keys = _BlockKernel(spec.m, rd_by_name).keys()
+    return _verdict(spec.m, keys, exhaustive, per_condition, max_witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -471,26 +547,14 @@ def orbit_violations(spec: CodeSpec) -> set[str] | None:
             return None
     comps = np.indices((m + 1,) * 4).reshape(4, -1)
     na, nb, nc, nd = comps[:, comps.sum(axis=0) <= m]  # n0 is the remainder
-    w1, w2 = na + nc + nd, nb + nc + nd
     w_sum, w_diff = na + nb + nc, na + nb + nd  # wt(v3) = wt(v1+v2)
+    # RD(-F, w) = RD(F, -w) and wt(-w) = wt(w): the signs of the kinds drop out
+    w_of = {"v1": na + nc + nd, "v2": nb + nc + nd, "sum": w_sum, "nsum": w_sum, "diff": w_diff, "ndiff": w_diff}
     distinct = (na + nb + nd) > 0  # v1 = v2 (= v3) exactly when na = nb = nd = 0
-    target = 2 * gf3.pow3(m)
-    violated = set()
-    # rd_w is int32 like the spectra; every sum below is at most 10*3^m in
+    # rd_w is int32 like the spectra; every sum is at most 10*3^m in
     # absolute value, which fits by the ``10 * 3**gf3.MAX_M < 2**31`` assert
-    for name in FAMILY_NAMES:
-        A = rd_w[name]
-        base = A[w1] + A[w2]
-        if np.any(distinct & (base - 2 * A[w_sum] == target)):
-            violated.add("triple-minus")
-        if np.any(distinct & (base + A[w_sum] == target)):
-            violated.add("triple-plus")
-    # RD(-F, w) = RD(F, -w) and wt(-w) = wt(w): the signs of PAIR_ALGEBRA drop out
-    for f1, f2, (sum_name, _), (diff_name, _) in PAIR_ALGEBRA:
-        S = rd_w[sum_name][w_sum] + rd_w[diff_name][w_diff] - 2 * rd_w[f1][w1] + rd_w[f2][w2]
-        if np.any(S == target):
-            violated.add("mixed-pair")
-    return violated
+    masks = _comparisons(2 * gf3.pow3(m), lambda name, kind: rd_w[name][w_of[kind]], distinct)
+    return {_CONDITION_OF[c] for c, mask in enumerate(masks) if mask.any()}
 
 
 # ---------------------------------------------------------------------------
@@ -511,13 +575,6 @@ _MAX_HEAVY = 25
 # in cache, and below the process's other peaks.  Half that size doubles
 # the per-batch overhead (measured 1.6x slower at m = 8).
 _LINE_BATCH = 1 << 14
-# The sweep's 20 block comparisons in scan order: c = 2*i_F + (0 minus,
-# 1 plus) for the triples of FAMILY_NAMES[i_F], then c = 8 + 2*pair + order
-# for _MIXED_PAIRS, order 0 being (F1, F2) at (v1, v2) and 1 (F2, F1) at
-# (v2, v1).
-_COMPARISONS = 20
-assert _COMPARISONS * 9**gf3.MAX_M < 2**63, "scan-order keys overflow int64 at MAX_M"
-_CONDITION_OF = ("triple-minus", "triple-plus") * 4 + ("mixed-pair",) * 12
 
 
 def heavy_points(spec: CodeSpec) -> np.ndarray:
@@ -541,14 +598,6 @@ def heavy_points(spec: CodeSpec) -> np.ndarray:
     return np.unique(np.concatenate(points))
 
 
-def _key_layout(m: int) -> tuple[int, int, int]:
-    """(K, H, stride) of the scan-order key: K = 3^min(3, m) rows per sweep
-    block, H = 3^m / K blocks, and stride = K*K*H = K*3^m per comparison."""
-    K = gf3.pow3(min(_BLOCK_DIGITS, m))
-    H = gf3.pow3(m) // K
-    return K, H, K * gf3.pow3(m)
-
-
 def _line_keys(spec: CodeSpec, points: np.ndarray):
     """Evaluate the 20 block comparisons on every line through ``points``.
 
@@ -563,10 +612,9 @@ def _line_keys(spec: CodeSpec, points: np.ndarray):
     - v1+v2 = p:   (j, p-j), v1-v2 = 2j-p = -(p+j);
     - v1-v2 = p:   (j, -(p-j)), v1+v2 = -(p+j).
 
-    Yields (points done, keys) per batch.  A hit of comparison c at (v1, v2)
-    has the key (v1 // K, c, v1 % K, v2 % K, v2 // K) in mixed radix
-    (K, H as in :func:`_key_layout`), so keys ascend in the sweep's scan
-    order.  Keys are below 20*3^(2m) < 2^63 for m <= 16, and operand sums
+    Yields (points done, keys) per batch, a hit of comparison c at (v1, v2)
+    keyed by its place in the sweep's scan order (see :func:`_key_layout`).
+    Keys are below 20*3^(2m) < 2^63 for m <= 16, and operand sums
     stay in int32 by the bound above ``_BLOCK_DIGITS``.  A pair on two
     lines yields its hits twice.
     """
@@ -589,62 +637,20 @@ def _line_keys(spec: CodeSpec, points: np.ndarray):
             v2 = np.stack([j, p, s, ns]).reshape(-1)
             arg = {"sum": np.stack([a, a, p, na]).reshape(-1), "diff": np.stack([s, ns, na, p]).reshape(-1)}
             arg["nsum"], arg["ndiff"] = neg[arg["sum"]], neg[arg["diff"]]
-            at_v1 = {name: rd[name][v1] for name in FAMILY_NAMES}
-            at_v2 = {name: rd[name][v2] for name in FAMILY_NAMES}
-            keys = []
+            # several comparisons share the v1 and v2 operands; the rest are gathered on use,
+            # which keeps fewer batch arrays alive
+            at = {(name, kind): rd[name][v] for name in FAMILY_NAMES for kind, v in (("v1", v1), ("v2", v2))}
 
-            def hits(mask: np.ndarray, c: int) -> None:
-                idx = np.flatnonzero(mask)
-                w1, w2 = v1[idx], v2[idx]
-                keys.append((((w1 // K * _COMPARISONS + c) * K + w1 % K) * K + w2 % K) * H + w2 // K)
+            def rd_at(name: str, kind: str) -> np.ndarray:
+                return at[name, kind] if kind in ("v1", "v2") else rd[name][arg[kind]]
 
-            distinct = v1 != v2  # v1 = v2 = v3 is degenerate for the triples
-            for i, name in enumerate(FAMILY_NAMES):
-                x = at_v1[name] + at_v2[name]
-                a3 = rd[name][arg["nsum"]]  # RD(F, v3)
-                hits(distinct & (x - 2 * a3 == T), 2 * i)
-                hits(distinct & (x + a3 == T), 2 * i + 1)
-            for k, (f1, f2, (s_name, s_kind), (d_name, d_kind)) in enumerate(_MIXED_PAIRS):
-                x = rd[s_name][arg[s_kind]] + rd[d_name][arg[d_kind]]
-                a1, a2 = at_v1[f1], at_v2[f2]
-                hits(x - 2 * a1 + a2 == T, 8 + 2 * k)
-                hits(x - 2 * a2 + a1 == T, 9 + 2 * k)
+            keys = [np.zeros(0, np.int64)]
+            for c, mask in enumerate(_comparisons(T, rd_at, v1 != v2)):
+                if mask.any():
+                    idx = np.flatnonzero(mask)
+                    w1, w2 = v1[idx], v2[idx]
+                    keys.append((((w1 // K * _COMPARISONS + c) * K + w1 % K) * K + w2 % K) * H + w2 // K)
             yield i0 + len(pts) if j0 + seg >= n else i0, np.concatenate(keys)
-
-
-def _key_to_raw(m: int, key: int) -> tuple:
-    """The raw violation of :meth:`_BlockKernel.scan` that a line key encodes."""
-    K, H, stride = _key_layout(m)
-    hi1, rest = divmod(int(key), _COMPARISONS * stride)
-    c, rest = divmod(rest, stride)
-    lo1, rest = divmod(rest, K * H)
-    lo2, hi2 = divmod(rest, H)
-    v1, v2 = lo1 + K * hi1, lo2 + K * hi2
-    if c < 8:
-        v3 = gf3.sub_index(m, gf3.neg_index(m, v1), v2)
-        return (_CONDITION_OF[c], FAMILY_NAMES[c // 2], v1, v2, v3)
-    pair, order = divmod(c - 8, 2)
-    f1, f2 = _MIXED_PAIRS[pair][:2]
-    return ("mixed-pair", f1, f2, v1, v2) if order == 0 else ("mixed-pair", f2, f1, v2, v1)
-
-
-def _sweep_checks(m: int, condition: str | None, key: int | None) -> int:
-    """Checks the sweep counts for ``condition`` (None: all three) up to and
-    including the hit ``key``, or over the whole sweep when ``key`` is None.
-
-    A block comparison counts K*3^m checks, less the K degenerate pairs
-    v1 = v2 for a triple comparison.
-    """
-    K, H, stride = _key_layout(m)
-    comps = [c for c in range(_COMPARISONS) if condition in (None, _CONDITION_OF[c])]
-
-    def size(c: int) -> int:
-        return stride - K if c < 8 else stride
-
-    if key is None:
-        return H * sum(map(size, comps))
-    block, c_hit = divmod(key // stride, _COMPARISONS)
-    return block * sum(map(size, comps)) + sum(size(c) for c in comps if c <= c_hit)
 
 
 def spectral_check(
@@ -670,52 +676,33 @@ def spectral_check(
     ``budget_seconds`` caps wall-clock time: a budget spent before the
     line scan raises :class:`CapacityError` with ``completed_fraction`` 0,
     one spent during it raises between batches with the share of heavy
-    points done.
+    points done.  A NaN or negative budget raises ValueError.
     """
     _check_cap(exhaustive, max_witnesses)
+    if budget_seconds is not None and not budget_seconds >= 0:  # NaN fails every comparison
+        raise ValueError(f"budget_seconds must be a non-negative number, got {budget_seconds}")
     m = spec.m
     deadline = None if budget_seconds is None else time.monotonic() + budget_seconds
 
     def spent() -> bool:
         return deadline is not None and time.monotonic() >= deadline
 
-    clean = MinimalityVerdict(True, "spectral", [], _sweep_checks(m, None, None))
     clean_orbits = orbit_violations(spec) == set()
     if spent():
         raise CapacityError("budget exceeded before the heavy-line scan", completed_fraction=0.0)
     if clean_orbits:
-        return clean
+        return _verdict(m, [], exhaustive, per_condition, max_witnesses)
     points = heavy_points(spec)
-    first: dict[str, int] = {}  # condition -> its smallest key
-    kept = np.zeros(0, np.int64)  # exhaustive: the smallest unique keys
-    _, _, stride = _key_layout(m)
-    for done, keys in _line_keys(spec, points):
-        if exhaustive:  # a pair on two lines yields its hits twice
-            kept = np.unique(np.concatenate([kept, keys]))[:max_witnesses]
-        else:
-            cond_of_key = np.take(_CONDITION_OF, keys // stride % _COMPARISONS)
-            for cond in ALL_CONDITIONS:
-                hits = keys[cond_of_key == cond]
-                if hits.size:
-                    key = int(hits.min())
-                    first[cond] = min(key, first.get(cond, key))
-        if done < len(points) and spent():
-            message = f"budget exceeded after {done}/{len(points)} heavy points"
-            raise CapacityError(message, completed_fraction=done / len(points))
-    if not first and not kept.size:
-        return clean
-    if exhaustive:
-        reported = kept.tolist()
-        # the sweep stops at the comparison holding its last witness
-        checks = _sweep_checks(m, None, reported[-1]) if len(reported) == max_witnesses else clean.checks
-    elif per_condition:
-        reported = sorted(first.values())
-        checks = sum(_sweep_checks(m, cond, first.get(cond)) for cond in ALL_CONDITIONS)
-    else:
-        reported = [min(first.values())]
-        checks = _sweep_checks(m, None, reported[0])
-    witnesses = [_raw_to_witness(m, _key_to_raw(m, key)) for key in reported]
-    return MinimalityVerdict(False, "spectral", witnesses, checks)
+
+    def line_keys():
+        """The line keys, with the budget checked between batches."""
+        for done, keys in _line_keys(spec, points):
+            yield keys
+            if done < len(points) and spent():
+                message = f"budget exceeded after {done}/{len(points)} heavy points"
+                raise CapacityError(message, completed_fraction=done / len(points))
+
+    return _verdict(m, line_keys(), exhaustive, per_condition, max_witnesses)
 
 
 def confirm_witness(spec: CodeSpec, witness) -> bool:

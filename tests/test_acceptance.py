@@ -1,9 +1,9 @@
 """Acceptance suite: one test per criterion, each printing a PASS line.
 
 Run with ``pytest tests/test_acceptance.py -v -s``.  Criterion 4 is the
-full-scale spectral certification sweep (about 12 s on one process,
-comfortably inside its 15-minute budget) and is marked slow but runs by
-default.
+full-scale spectral certification sweep (10-14 s on one process of a
+2-core machine, comfortably inside its 15-minute budget) and is marked
+slow but runs by default.
 """
 
 import time

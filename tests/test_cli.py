@@ -211,6 +211,15 @@ def test_minimality_budget_exit_code(capsys, pair3):
     assert obj["completed_fraction"] == 0.0
 
 
+@pytest.mark.parametrize("budget", ["nan", "-1"])
+def test_minimality_rejects_nan_or_negative_budget(capsys, pair3, budget):
+    fpath, gpath = pair3
+    assert main(["minimality", "--f", fpath, "--g", gpath, f"--budget={budget}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("terncode: budget_seconds must be a non-negative number")
+
+
 @pytest.mark.parametrize("extra", [[], ["--exhaustive"]])
 def test_minimality_orbit_path_stdout_matches_sweep(capsys, tmp_path, monkeypatch, extra):
     from conftest import shell_spec

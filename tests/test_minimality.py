@@ -7,6 +7,7 @@ from terncode import gf3, minimality
 from terncode.code import FAMILY_NAMES, all_codewords_matrix
 from terncode.errors import CapacityError, ConsistencyError
 from terncode.minimality import (
+    ALL_CONDITIONS,
     PAIR_ALGEBRA,
     ashikhmin_barg,
     confirm_witness,
@@ -173,6 +174,20 @@ def test_spectral_budget():
         assert exc.value.completed_fraction == 0.0
 
 
+@pytest.mark.parametrize("budget", [float("nan"), -1.0, float("-inf")])
+def test_spectral_budget_must_be_a_nonnegative_number(monkeypatch, budget):
+    spec = random_valid_spec(3, np.random.default_rng(9))
+    expected = spectral_check(spec).to_json_obj()
+    assert spectral_check(spec, budget_seconds=float("inf")).to_json_obj() == expected
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("spectral_check started on a bad budget")
+
+    monkeypatch.setattr(minimality, "orbit_violations", no_work)
+    with pytest.raises(ValueError, match="budget"):
+        spectral_check(spec, budget_seconds=budget)
+
+
 @settings(deadline=None, max_examples=20)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_verdict_flag_matches_witnesses(seed):
@@ -181,7 +196,7 @@ def test_verdict_flag_matches_witnesses(seed):
     assert v.minimal == (len(v.witnesses) == 0)
 
 
-def test_spectral_parallel_path_determinism_with_witness():
+def test_single_bump_witness_matches_sweep():
     # a single-bump f guarantees a covering violation (its weight-1 word
     # sits inside most linear words)
     import terncode.code as code_mod
@@ -256,6 +271,80 @@ def test_exhaustive_sweep_matches_naive_oracle():
     assert seen == {"triple-minus", "triple-plus", "mixed-pair"}
 
 
+def scan_position(m: int, violation: tuple) -> tuple[int, ...]:
+    """Where the sweep meets a violation: (v1 // K, c, v1 % K, v2 % K, v2 // K)
+    with K = 3^min(3, m), c its block comparison and (v1, v2) the pair the
+    comparison runs over (the swapped vectors for the (F2, F1) order)."""
+    K = 3 ** min(3, m)
+    condition, functions, vectors = violation
+    if condition != "mixed-pair":
+        c = 2 * FAMILY_NAMES.index(functions[0]) + (condition == "triple-plus")
+        v1, v2 = vectors[:2]
+    else:
+        pairs = [pair[:2] for pair in minimality._MIXED_PAIRS]
+        if functions in pairs:
+            c, (v1, v2) = 8 + 2 * pairs.index(functions), vectors
+        else:
+            c, (v2, v1) = 9 + 2 * pairs.index(functions[::-1]), vectors
+    return (v1 // K, c, v1 % K, v2 % K, v2 // K)
+
+
+def checks_up_to(m: int, stop: tuple | None, conditions) -> int:
+    """Checks of the comparisons of ``conditions`` that a sweep stopping at
+    scan position ``stop`` (None: not stopping) makes: K*3^m per
+    comparison, less the K pairs v1 = v2 for a triple comparison."""
+    K = 3 ** min(3, m)
+    total = 0
+    for block in range(3**m // K):
+        for c in range(20):
+            if stop is not None and (block, c) > stop[:2]:
+                return total
+            condition = ("triple-minus", "triple-plus")[c % 2] if c < 8 else "mixed-pair"
+            if condition in conditions:
+                total += K * 3**m - (K if c < 8 else 0)
+    return total
+
+
+def test_sweep_modes_follow_naive_scan_order():
+    rng = np.random.default_rng(71)
+    specs = []
+    for m in (2, 2, 3, 3):
+        spec = random_valid_spec(m, rng)
+        while spectral_sweep(spec).minimal:
+            spec = random_valid_spec(m, rng)
+        specs.append(spec)
+    specs += [sparse_random_spec(m, rng) for m in (4, 5)]
+    spec = random_weight_symmetric_spec(4, rng)
+    while not orbit_violations(spec):
+        spec = random_weight_symmetric_spec(4, rng)
+    specs += [spec, scrambled_spec(spec, nonmonomial(4))]
+    seen = set()
+    for spec in specs:
+        m = spec.m
+        order = sorted(naive_violations(spec), key=lambda v: scan_position(m, v))
+        assert order
+        seen |= {v[0] for v in order if m >= 4}
+
+        def swept(**mode):
+            verdict = spectral_sweep(spec, **mode)
+            return [(w.condition, w.functions, w.vectors) for w in verdict.witnesses], verdict.checks
+
+        assert swept() == (order[:1], checks_up_to(m, scan_position(m, order[0]), ALL_CONDITIONS))
+        firsts = {}
+        for v in order:
+            firsts.setdefault(v[0], v)
+        checks = sum(
+            checks_up_to(m, scan_position(m, firsts[cond]) if cond in firsts else None, {cond})
+            for cond in ALL_CONDITIONS
+        )
+        assert swept(per_condition=True) == (sorted(firsts.values(), key=lambda v: scan_position(m, v)), checks)
+        for cap in (1, 7, len(order), 10**9):
+            reported = order[:cap]
+            stop = scan_position(m, reported[-1]) if len(reported) == cap else None
+            assert swept(exhaustive=True, max_witnesses=cap) == (reported, checks_up_to(m, stop, ALL_CONDITIONS))
+    assert seen == set(ALL_CONDITIONS)
+
+
 def test_orbit_precheck_agrees_with_sweep():
     rng = np.random.default_rng(12)
     specs = [random_weight_symmetric_spec(m, rng) for m in range(2, 8) for _ in range(6 if m < 7 else 2)]
@@ -303,8 +392,7 @@ def heavy_line_violations(spec) -> list[tuple]:
     """Every violation on the lines through the heavy points, in scan order."""
     batches = [keys for _, keys in minimality._line_keys(spec, minimality.heavy_points(spec))]
     keys = np.unique(np.concatenate([np.zeros(0, np.int64), *batches]))
-    raws = [minimality._key_to_raw(spec.m, int(key)) for key in keys]
-    witnesses = [minimality._raw_to_witness(spec.m, raw) for raw in raws]
+    witnesses = [minimality._witness(spec.m, key) for key in keys]
     return [(w.condition, w.functions, w.vectors) for w in witnesses]
 
 
