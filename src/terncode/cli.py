@@ -160,6 +160,8 @@ def _cmd_cwe(args) -> int:
 def _cmd_minimality(args) -> int:
     spec = _load_pair(args)
     verdicts = {}
+    # the oracle first: it refuses m > 5 before any spectral work is spent
+    oracle = minimality.is_minimal_bruteforce(spec) if args.method in ("oracle", "both") else None
     if args.method in ("spectral", "both"):
         verdicts["spectral"] = minimality.spectral_check(
             spec,
@@ -168,8 +170,8 @@ def _cmd_minimality(args) -> int:
         )
         if args.exhaustive and len(verdicts["spectral"].witnesses) == minimality.MAX_WITNESSES:
             print(f"terncode: stopped at {minimality.MAX_WITNESSES} violations; more may exist", file=sys.stderr)
-    if args.method in ("oracle", "both"):
-        verdicts["cover-oracle"] = minimality.is_minimal_bruteforce(spec)
+    if oracle is not None:
+        verdicts["cover-oracle"] = oracle
     obj = {name: v.to_json_obj() for name, v in verdicts.items()}
     if len(verdicts) == 2:
         obj["agree"] = verdicts["spectral"].minimal == verdicts["cover-oracle"].minimal

@@ -4,7 +4,10 @@ A validated pair (f, g) determines the code whose codewords are
 
     c(u, r, v) = (u f(x) + r g(x) + v . x)  over nonzero x in F_3^m,
 
-for u, r in F_3 and v in F_3^m: length 3^m - 1, dimension m + 2.  The
+for u, r in F_3 and v in F_3^m: length 3^m - 1, dimension m + 2.  It is the
+row space of the (m + 2) x (3^m - 1) generator matrix whose column at x is
+(x, g(x), f(x)): the message (v, r, u) times it is c(u, r, v).  Codewords
+are materialized (small m only) as such products, in int8.  The
 validation hypotheses apply to every member of the four-function family
 {f, g, f+g, f-g}: nonzero, vanishing at 0, and never equal to a linear
 functional.
@@ -271,14 +274,25 @@ class Codeword:
         return int(np.count_nonzero(self.word))
 
 
+# An entry of a message times G sums m + 2 products of digits, each at most
+# 2*2 = 4, so it is at most 4*(MAX_M + 2) = 72 and the int8 product is exact.
+assert 4 * (gf3.MAX_M + 2) < 2**7, "int8 codeword products overflow at MAX_M"
+
+
+def _generator_matrix(spec: CodeSpec) -> np.ndarray:
+    """The (m + 2, 3^m - 1) int8 generator matrix: rows x (m digits), g, f over nonzero x."""
+    rows = (gf3.digits_table(spec.m), spec.g.table[None], spec.f.table[None])
+    return np.concatenate(rows)[:, 1:]
+
+
 def materialize(spec: CodeSpec, u: int, r: int, v: int) -> Codeword:
     if spec.m > MATERIALIZE_MAX_M:
         raise CapacityError(f"materialize supports m <= {MATERIALIZE_MAX_M}, got m={spec.m}")
+    if not 0 <= v < gf3.pow3(spec.m):
+        raise ValueError(f"shift index {v} out of range")
     u, r = u % 3, r % 3
-    linear = TernaryFunction.linear(spec.m, v).table
-    vals = (u * spec.f.table.astype(np.int16) + r * spec.g.table + linear) % 3
-    word = vals[1:].astype(np.int8)
-    cw = Codeword(u, r, v, word)
+    message = np.append(gf3.digits_table(spec.m)[:, v], np.int8([r, u]))
+    cw = Codeword(u, r, v, message @ _generator_matrix(spec) % 3)
     if cw.hamming_weight() != weight_of(spec, u, r, v):
         raise ConsistencyError(
             f"materialized weight {cw.hamming_weight()} disagrees with spectrum weight for (u={u}, r={r}, v={v})"
@@ -289,23 +303,17 @@ def materialize(spec: CodeSpec, u: int, r: int, v: int) -> Codeword:
 def all_codewords_matrix(spec: CodeSpec) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
     """All 3^(m+2) codewords as an int8 matrix plus their (u, r, v) labels.
 
-    Row order: (u, r) lexicographic, then v ascending.  Small-m helper for
-    brute-force work (m <= 5).
+    Row i is the message with base-3 index i times the generator matrix, so
+    it holds c(u, r, v) for i = (3u + r)*3^m + v: (u, r) lexicographic, then
+    v ascending.  Row 0 is the zero word, and negating a word negates its
+    message, so -c sits at row ``gf3.neg_perm(m + 2)[i]``.  Small-m helper
+    for brute-force work (m <= 5).
     """
     if spec.m > 5:
         raise CapacityError(f"full codeword matrix supports m <= 5, got m={spec.m}")
-    m = spec.m
-    total = gf3.pow3(m)
-    dots = gf3.dot_matrix(m)[:, 1:].astype(np.int16)  # rows: v, columns: nonzero x
-    words = np.empty((9 * total, total - 1), dtype=np.int8)
-    labels: list[tuple[int, int, int]] = []
-    row = 0
-    for u in range(3):
-        for r in range(3):
-            base = (u * spec.f.table[1:].astype(np.int16) + r * spec.g.table[1:]) % 3
-            words[row : row + total] = (base[None, :] + dots) % 3
-            labels.extend((u, r, v) for v in range(total))
-            row += total
+    total = gf3.pow3(spec.m)
+    words = gf3.digits_table(spec.m + 2).T @ _generator_matrix(spec) % 3
+    labels = [(u, r, v) for u in range(3) for r in range(3) for v in range(total)]
     return words, labels
 
 

@@ -10,9 +10,10 @@ Bulk work uses dense numpy lookup tables.  Hamming weights
 (``add_perm_rows``, ``sub_perm_rows``) all come from one digit recursion,
 ``_stack_digits``: the table for k + 1 digits is three stacked copies of
 the table for k digits, so each costs O(3^m) per row and needs no digit
-table.  The (m, 3^m) ``digits_table`` serves the small-m helpers
-(``dot_matrix``, ``TernaryFunction.linear``) and outside callers; no path
-that grows with m builds it.  The scalar helpers ``neg_index`` and
+table.  The (m, 3^m) int8 ``digits_table`` serves the small-m integer
+products -- ``dot_matrix`` (digits^T @ digits), ``TernaryFunction.linear``
+and the generator matrix of :mod:`terncode.code` -- and outside callers;
+no path that grows with m builds it.  The scalar helpers ``neg_index`` and
 ``sub_index`` serve witnesses with integer digit arithmetic.
 """
 
@@ -113,12 +114,9 @@ def dot_matrix(m: int) -> np.ndarray:
     check_dimension(m)
     if m > 8:
         raise CapacityError(f"dot_matrix is a small-m helper (m <= 8), got m={m}")
-    digs = digits_table(m).astype(np.int16)
-    out = np.zeros((pow3(m), pow3(m)), dtype=np.int16)
-    for i in range(m):
-        out += digs[i][:, None] * digs[i][None, :]
+    digits = digits_table(m)
+    out = digits.T @ digits  # int8: at most m*4 = 32
     out %= 3
-    out = out.astype(np.int8)
     out.setflags(write=False)
     return out
 

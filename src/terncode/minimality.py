@@ -3,7 +3,8 @@
 Three independent certifiers:
 
 * ``is_minimal_bruteforce``: the definition itself.  Materializes every
-  codeword and tests all ordered support inclusions (m <= 5).
+  codeword and tests all ordered support inclusions on bit-packed supports
+  (m <= 5).
 * ``spectral_check``: the exact spectral criterion.  Up to scalar
   multiples, every codeword is s_v (a purely linear word) or F + s_v with
   F one of the four literal family members, and support covering between
@@ -206,29 +207,16 @@ def is_minimal_bruteforce(spec: CodeSpec, max_witnesses: int = 1) -> MinimalityV
     """Check every ordered pair of nonzero, non-proportional codewords."""
     if spec.m > BRUTEFORCE_MAX_M:
         raise CapacityError(f"brute-force oracle supports m <= {BRUTEFORCE_MAX_M}, got m={spec.m}")
-    total = gf3.pow3(spec.m)
     words, labels = all_codewords_matrix(spec)
-    supports = words != 0
+    supports = np.packbits(words != 0, axis=1)
     n_rows = len(labels)
-
-    def row_of(u: int, r: int, v: int) -> int:
-        return (u * 3 + r) * total + v
-
-    partner = np.empty(n_rows, dtype=np.int64)
-    neg = gf3.neg_perm(spec.m)
-    for i, (u, r, v) in enumerate(labels):
-        partner[i] = row_of((2 * u) % 3, (2 * r) % 3, int(neg[v]))
-    zero_row = row_of(0, 0, 0)
+    negated = gf3.neg_perm(spec.m + 2)  # row of -c: the negated message; row 0 is the zero word
 
     witnesses: list[CoverWitness] = []
     checks = 0
-    for a_row in range(n_rows):
-        if a_row == zero_row:
-            continue
+    for a_row in range(1, n_rows):
         covered = ~(supports & ~supports[a_row]).any(axis=1)
-        covered[a_row] = False
-        covered[partner[a_row]] = False
-        covered[zero_row] = False
+        covered[[0, a_row, negated[a_row]]] = False
         checks += n_rows - 3
         for b_row in np.flatnonzero(covered):
             witnesses.append(CoverWitness(labels[a_row], labels[int(b_row)]))

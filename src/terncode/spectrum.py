@@ -71,13 +71,10 @@ class TernaryFunction:
     @classmethod
     def linear(cls, m: int, w_index: int) -> "TernaryFunction":
         """F(x) = w . x for the vector w with the given index."""
-        digs = gf3.digits_table(m)
-        w_digits = [(w_index // 3**i) % 3 for i in range(m)]
-        vals = np.zeros(gf3.pow3(m), dtype=np.int64)
-        for i in range(m):
-            if w_digits[i]:
-                vals += int(w_digits[i]) * digs[i]
-        return cls(m, vals % 3)
+        if not 0 <= w_index < gf3.pow3(m):
+            raise ValueError(f"functional index {w_index} out of range for m={m}")
+        digits = gf3.digits_table(m)
+        return cls(m, digits[:, w_index] @ digits % 3)
 
     @classmethod
     def random(cls, m: int, rng: np.random.Generator, zero_at_origin: bool = True) -> "TernaryFunction":

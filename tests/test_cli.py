@@ -275,6 +275,25 @@ def test_minimality_oracle_capacity(capsys, tmp_path):
     assert json.loads(out)["error"] == "capacity"
 
 
+def test_minimality_both_refuses_m6_before_the_spectral_check(capsys, tmp_path, monkeypatch):
+    import numpy as np
+    from conftest import sparse_random_spec
+    from terncode import minimality
+
+    spec = sparse_random_spec(6, np.random.default_rng(5))
+    fp, gp = tmp_path / "f6.txt", tmp_path / "g6.txt"
+    fp.write_text(spec.f.to_text())
+    gp.write_text(spec.g.to_text())
+    oracle = run(capsys, "minimality", "--method", "oracle", "--f", str(fp), "--g", str(gp))
+    assert oracle[0] == 3 and json.loads(oracle[1])["error"] == "capacity"
+
+    def spectral_check(*args, **kwargs):
+        raise AssertionError("spectral_check ran on a pair the oracle refuses")
+
+    monkeypatch.setattr(minimality, "spectral_check", spectral_check)
+    assert run(capsys, "minimality", "--method", "both", "--f", str(fp), "--g", str(gp)) == oracle
+
+
 def test_verify_example(capsys):
     rc, out = run(capsys, "verify-example")
     assert rc == 0

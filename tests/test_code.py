@@ -92,6 +92,27 @@ def test_materialize_examples():
     assert np.array_equal(f_word.word, spec.f.table[1:])
 
 
+@pytest.mark.parametrize("build", [
+    lambda index: TernaryFunction.linear(2, index),
+    lambda index: materialize(random_valid_spec(2, np.random.default_rng(3)), 1, 0, index),
+])
+@pytest.mark.parametrize("index", [-1, -9, 9, 10**6])
+def test_out_of_range_index_raises(build, index):
+    with pytest.raises(ValueError, match="out of range"):
+        build(index)
+
+
+def test_codeword_matrix_rows_are_materialized_words():
+    rng = np.random.default_rng(5)
+    for m in (2, 3, 4):
+        spec = random_valid_spec(m, rng)
+        words, labels = all_codewords_matrix(spec)
+        assert words.dtype == np.int8
+        assert labels == [(u, r, v) for u in range(3) for r in range(3) for v in range(gf3.pow3(m))]
+        for row, (u, r, v) in zip(words, labels):
+            assert np.array_equal(row, materialize(spec, u, r, v).word)
+
+
 def test_codeword_matrix_capacity():
     spec = random_valid_spec(6, np.random.default_rng(4))
     with pytest.raises(CapacityError):

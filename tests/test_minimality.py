@@ -111,6 +111,45 @@ def test_bruteforce_capacity():
         is_minimal_bruteforce(spec)
 
 
+def _label_scan(spec):
+    """Every covering pair of the code, as (a label, b label, nonzero a labels scanned).
+
+    A plain double loop over the labels (u, r, v) in the order of the index
+    (3u + r)*3^m + v, with words written out from their definition.
+    """
+    m, n = spec.m, 3**spec.m
+    digits = lambda i: np.array([(i // 3**k) % 3 for k in range(m)])
+    x_digits = np.array([digits(x) for x in range(1, n)])
+    f, g = spec.f.table[1:].astype(int), spec.g.table[1:].astype(int)
+    labels = [(u, r, v) for u in range(3) for r in range(3) for v in range(n)]
+    words = {(u, r, v): (u * f + r * g + x_digits @ digits(v)) % 3 for u, r, v in labels}
+    negate = lambda u, r, v: (-u % 3, -r % 3, int((-digits(v) % 3) @ 3 ** np.arange(m)))
+    found, scanned = [], 0
+    for a in labels:
+        if a == (0, 0, 0):
+            continue
+        scanned += 1
+        for b in labels:
+            if b not in ((0, 0, 0), a, negate(*a)) and covers(words[a], words[b]):
+                found.append((a, b, scanned))
+    return found
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_bruteforce_follows_the_label_double_loop(m):
+    rng = np.random.default_rng(m)
+    for spec in (sparse_random_spec(m, rng), random_valid_spec(m, rng)):
+        found = _label_scan(spec)
+        assert len(found) > 7
+        pairs_per_row = 9 * 3**m - 3
+        for cap in (1, 7, 10**6):
+            verdict = is_minimal_bruteforce(spec, max_witnesses=cap)
+            assert not verdict.minimal
+            assert [(w.a_params, w.b_params) for w in verdict.witnesses] == [(a, b) for a, b, _ in found[:cap]]
+            scanned = found[cap - 1][2] if cap <= len(found) else 9 * 3**m - 1
+            assert verdict.checks == scanned * pairs_per_row
+
+
 def test_simplex_subcode_alone_is_minimal():
     # the purely linear words: no covering among independent ones
     m = 3
