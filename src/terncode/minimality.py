@@ -74,7 +74,7 @@ sweep's verdict function, so the witnesses and the check count are the
 ones the sweep reports.  The shell codes and their scrambled copies
 have P = {0} (four lines); uniformly random valid pairs from m = 6 on
 typically have P empty.  On a 2-core machine a scrambled (m, 2, 4) shell
-certifies in about 4 ms at m = 8, 0.03 s at m = 10 and 0.2 s at m = 12,
+certifies in about 2 ms at m = 8, 0.01 s at m = 10 and 0.1 s at m = 12,
 where the sweep takes 0.9 s, minutes and hours.
 """
 
@@ -82,28 +82,25 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
 from . import gf3
-from .code import FAMILY_NAMES, FAMILY_TO_UR, CodeSpec, all_codewords_matrix, materialize
+from .code import FAMILY_NAMES, FAMILY_TO_UR, UR_TO_FAMILY, CodeSpec, all_codewords_matrix, materialize
 from .errors import CapacityError, ConsistencyError
+
+
+def _member(f1: str, f2: str, sign: int) -> tuple[str, int]:
+    """F1 + sign*F2 as (member, sign), from the (u, r) of each."""
+    (u1, r1), (u2, r2) = FAMILY_TO_UR[f1], FAMILY_TO_UR[f2]
+    return UR_TO_FAMILY[(u1 + sign * u2) % 3, (r1 + sign * r2) % 3]
+
 
 # ordered (F1, F2) with F1+F2 and F1-F2 resolved to (member, sign),
 # sign -1 meaning the pointwise negation of the member
-PAIR_ALGEBRA: tuple[tuple[str, str, tuple[str, int], tuple[str, int]], ...] = (
-    ("f", "g", ("f+g", +1), ("f-g", +1)),
-    ("f", "f+g", ("f-g", -1), ("g", -1)),
-    ("f", "f-g", ("f+g", -1), ("g", +1)),
-    ("g", "f", ("f+g", +1), ("f-g", -1)),
-    ("g", "f+g", ("f-g", +1), ("f", -1)),
-    ("g", "f-g", ("f", +1), ("f+g", -1)),
-    ("f+g", "f", ("f-g", -1), ("g", +1)),
-    ("f+g", "g", ("f-g", +1), ("f", +1)),
-    ("f+g", "f-g", ("f", -1), ("g", -1)),
-    ("f-g", "f", ("f+g", -1), ("g", -1)),
-    ("f-g", "g", ("f", +1), ("f+g", +1)),
-    ("f-g", "f+g", ("f", -1), ("g", +1)),
+PAIR_ALGEBRA: tuple[tuple[str, str, tuple[str, int], tuple[str, int]], ...] = tuple(
+    (f1, f2, _member(f1, f2, 1), _member(f1, f2, -1)) for f1, f2 in permutations(FAMILY_NAMES, 2)
 )
 
 ALL_CONDITIONS = ("triple-minus", "triple-plus", "mixed-pair")
@@ -208,14 +205,14 @@ def is_minimal_bruteforce(spec: CodeSpec, max_witnesses: int = 1) -> MinimalityV
     if spec.m > BRUTEFORCE_MAX_M:
         raise CapacityError(f"brute-force oracle supports m <= {BRUTEFORCE_MAX_M}, got m={spec.m}")
     words, labels = all_codewords_matrix(spec)
-    supports = np.packbits(words != 0, axis=1)
+    supports = np.ascontiguousarray(np.packbits(words != 0, axis=1).T)  # byte-major: reduce over rows
     n_rows = len(labels)
     negated = gf3.neg_perm(spec.m + 2)  # row of -c: the negated message; row 0 is the zero word
 
     witnesses: list[CoverWitness] = []
     checks = 0
     for a_row in range(1, n_rows):
-        covered = ~(supports & ~supports[a_row]).any(axis=1)
+        covered = ~(supports & ~supports[:, a_row, None]).any(axis=0)
         covered[[0, a_row, negated[a_row]]] = False
         checks += n_rows - 3
         for b_row in np.flatnonzero(covered):
@@ -457,8 +454,9 @@ def _verdict(
     first: dict[str, int] = {}  # condition -> its smallest key
     kept = np.zeros(0, np.int64)  # exhaustive: the smallest unique keys
     for keys in key_batches:
-        if exhaustive:
-            kept = np.unique(np.concatenate([kept, keys]))[:max_witnesses]
+        if exhaustive:  # sort, then drop repeats: numpy 2's hashing np.unique is ~50x slower on int64
+            kept = np.sort(np.concatenate([kept, keys]))
+            kept = kept[np.diff(kept, prepend=-1) != 0][:max_witnesses]
         else:
             cond_of_key = np.take(_CONDITION_OF, keys // stride % _COMPARISONS)
             for cond in ALL_CONDITIONS:
@@ -557,12 +555,13 @@ def orbit_violations(spec: CodeSpec) -> set[str] | None:
 # 3^(2m) (Parseval), a heavy w has |F_hat(w)|^2 >= 3^(2m) / 25, and at most
 # 25 shifts per member are heavy.
 _MAX_HEAVY = 25
-# pairs (v1, v2) per line evaluation: several points' lines at small m, a
-# slice of one point's lines at large m.  A batch holds about 120 bytes per
-# pair (int64 index arrays, int32 operands), so 2^14 pairs stay near 2 MB:
-# in cache, and below the process's other peaks.  Half that size doubles
-# the per-batch overhead (measured 1.6x slower at m = 8).
-_LINE_BATCH = 1 << 14
+# pairs (v1, v2) per line evaluation, four per (p, j): several points' lines
+# at small m, a slice of one point's lines at large m.  A batch allocates
+# about 36 bytes per pair (two int64 index gathers, 16 int32 operands and one
+# line's temporaries per (p, j)), so 2^18 pairs take about 9 MB.  Each line
+# makes 20 comparisons per batch: at 2^14 the scan took twice as long at
+# m = 12, and at 2^16 4-17% longer at m = 10-13.
+_LINE_BATCH = 1 << 18
 
 
 def heavy_points(spec: CodeSpec) -> np.ndarray:
@@ -586,19 +585,27 @@ def heavy_points(spec: CodeSpec) -> np.ndarray:
     return np.unique(np.concatenate(points))
 
 
+# The argument of each operand kind of _comparisons on the four lines through
+# p, with j running over F_3^m (2j = -j, so 2j-p = -(p+j)).
+_LINES = (
+    {"v1": "p", "v2": "j", "sum": "p+j", "diff": "p-j", "nsum": "-(p+j)", "ndiff": "-(p-j)"},  # v1 = p
+    {"v1": "j", "v2": "p", "sum": "p+j", "diff": "-(p-j)", "nsum": "-(p+j)", "ndiff": "p-j"},  # v2 = p
+    {"v1": "j", "v2": "p-j", "sum": "p", "diff": "-(p+j)", "nsum": "-p", "ndiff": "p+j"},  # v1+v2 = p
+    {"v1": "j", "v2": "-(p-j)", "sum": "-(p+j)", "diff": "p", "nsum": "p+j", "ndiff": "-p"},  # v1-v2 = p
+)
+
+
 def _line_keys(spec: CodeSpec, points: np.ndarray):
     """Evaluate the 20 block comparisons on every line through ``points``.
 
     A violation has a heavy operand argument (see ``_MAX_HEAVY``), which is
     one of v1, v2, +/-(v1+v2) and +/-(v1-v2) (v3 = -(v1+v2)).  With P = -P,
     the pair (v1, v2) lies on one of the lines v1 = p, v2 = p, v1+v2 = p
-    and v1-v2 = p for some p in P.  Each line holds 3^m pairs: with j
-    running over F_3^m,
-
-    - v1 = p:      (p, j), v1+v2 = p+j, v1-v2 = p-j;
-    - v2 = p:      (j, p), v1+v2 = p+j, v1-v2 = -(p-j);
-    - v1+v2 = p:   (j, p-j), v1-v2 = 2j-p = -(p+j);
-    - v1-v2 = p:   (j, -(p-j)), v1+v2 = -(p+j).
+    and v1-v2 = p for some p in P, each holding 3^m pairs.  On all four,
+    every operand of member F is RD(F, w) at one of the seven arguments of
+    ``_LINES``: a slice at j, a gather at each of +/-(p+j) and +/-(p-j),
+    and a scalar per point at +/-p.  So per batch each member's RD is read
+    once per argument, and the four lines share those reads.
 
     Yields (points done, keys) per batch, a hit of comparison c at (v1, v2)
     keyed by its place in the sweep's scan order (see :func:`_key_layout`).
@@ -619,25 +626,18 @@ def _line_keys(spec: CodeSpec, points: np.ndarray):
         add, sub = gf3.add_perm_rows(m, pts), gf3.sub_perm_rows(m, pts)  # p+j, p-j
         for j0 in range(0, n, seg):
             js = slice(j0, j0 + seg)
-            p, j, a, s = np.broadcast_arrays(pts[:, None], j_all[js], add[:, js], sub[:, js])
-            na, ns = neg[a], neg[s]
-            v1 = np.stack([p, j, j, j]).reshape(-1)
-            v2 = np.stack([j, p, s, ns]).reshape(-1)
-            arg = {"sum": np.stack([a, a, p, na]).reshape(-1), "diff": np.stack([s, ns, na, p]).reshape(-1)}
-            arg["nsum"], arg["ndiff"] = neg[arg["sum"]], neg[arg["diff"]]
-            # several comparisons share the v1 and v2 operands; the rest are gathered on use,
-            # which keeps fewer batch arrays alive
-            at = {(name, kind): rd[name][v] for name in FAMILY_NAMES for kind, v in (("v1", v1), ("v2", v2))}
-
-            def rd_at(name: str, kind: str) -> np.ndarray:
-                return at[name, kind] if kind in ("v1", "v2") else rd[name][arg[kind]]
-
+            a, s = add[:, js], sub[:, js]
+            arg = {"j": j_all[js], "p": pts[:, None], "-p": neg[pts][:, None],
+                   "p+j": a, "p-j": s, "-(p+j)": neg[a], "-(p-j)": neg[s]}
+            ops = {name: {w: r[js] if w == "j" else r[v] for w, v in arg.items()} for name, r in rd.items()}
             keys = [np.zeros(0, np.int64)]
-            for c, mask in enumerate(_comparisons(T, rd_at, v1 != v2)):
-                if mask.any():
-                    idx = np.flatnonzero(mask)
-                    w1, w2 = v1[idx], v2[idx]
-                    keys.append((((w1 // K * _COMPARISONS + c) * K + w1 % K) * K + w2 % K) * H + w2 // K)
+            for line in _LINES:
+                v1, v2 = np.broadcast_arrays(arg[line["v1"]], arg[line["v2"]])
+                masks = _comparisons(T, lambda name, kind: ops[name][line[kind]], v1 != v2)
+                for c, mask in enumerate(masks):
+                    if mask.any():
+                        w1, w2 = v1[mask], v2[mask]
+                        keys.append((((w1 // K * _COMPARISONS + c) * K + w1 % K) * K + w2 % K) * H + w2 // K)
             yield i0 + len(pts) if j0 + seg >= n else i0, np.concatenate(keys)
 
 

@@ -416,13 +416,12 @@ def test_orbit_precheck_certifies_shell_codes(m):
         assert spectral_check(spec, **mode).to_json_obj() == swept
 
 
-def test_scrambled_shell_is_not_weight_symmetric():
+@pytest.mark.parametrize("m", [5, 11])  # at m = 11 each line spans three segments of j
+def test_scrambled_shell_is_not_weight_symmetric(m):
     # (f o A, g o A) for an invertible non-monomial A: an equivalent code
     # whose spectra are no longer constant on weight classes
-    m = 5
     shell = shell_spec(m, 2, 4)
-    a = np.array([[1, 1, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0], [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]])
-    scrambled = scrambled_spec(shell, a)
+    scrambled = scrambled_spec(shell, nonmonomial(m))
     assert orbit_violations(scrambled) is None
     assert spectral_check(scrambled).to_json_obj() == spectral_check(shell).to_json_obj()
 
@@ -435,7 +434,10 @@ def heavy_line_violations(spec) -> list[tuple]:
     return [(w.condition, w.functions, w.vectors) for w in witnesses]
 
 
-def test_heavy_lines_match_naive_oracle():
+# 4 * 7 pairs: one point per batch, and its lines in segments of 7 values of j
+@pytest.mark.parametrize("line_batch", [minimality._LINE_BATCH, 4 * 7], ids=["default", "7j"])
+def test_heavy_lines_match_naive_oracle(monkeypatch, line_batch):
+    monkeypatch.setattr(minimality, "_LINE_BATCH", line_batch)
     rng = np.random.default_rng(66)
     # uniform random pairs are minimal from m = 4 on; a sparse f gives
     # violations there
