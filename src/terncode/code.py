@@ -41,7 +41,7 @@ import numpy as np
 
 from . import gf3
 from .errors import CapacityError, ConsistencyError, ValidationError
-from .spectrum import CountSpectrum, TernaryFunction, combine, fast_count_spectrum
+from .spectrum import CountSpectrum, TernaryFunction, combine, count_spectra
 
 FAMILY_NAMES = ("f", "g", "f+g", "f-g")
 
@@ -107,7 +107,7 @@ def validate(m: int, f: TernaryFunction, g: TernaryFunction) -> CodeSpec:
         "f+g": combine(1, 1, f, g),
         "f-g": combine(1, 2, f, g),
     }
-    spectra: dict[str, CountSpectrum] = {}
+    spectra = dict(zip(family, count_spectra(family.values())))
     for name, F in family.items():
         if F.is_zero():
             raise ValidationError(
@@ -119,14 +119,12 @@ def validate(m: int, f: TernaryFunction, g: TernaryFunction) -> CodeSpec:
                 f"family member {name} does not vanish at 0 (value {F.value(0)})",
                 function_name=name, hypothesis="vanishes-at-zero",
             )
-        sp = fast_count_spectrum(F)
-        coincide = np.flatnonzero(sp.rd == 2 * gf3.pow3(m))
+        coincide = np.flatnonzero(spectra[name].rd == 2 * gf3.pow3(m))
         if coincide.size:
             raise ValidationError(
                 f"family member {name} equals the linear functional with index {int(coincide[0])}",
                 function_name=name, hypothesis="linear-coset-free", witness=int(coincide[0]),
             )
-        spectra[name] = sp
     return CodeSpec(m, f, g, family, spectra)
 
 

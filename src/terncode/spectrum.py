@@ -18,13 +18,16 @@ Two independent implementations are provided:
 
 * ``naive_count_spectrum``: direct evaluation of the defining counts per
   shift (the oracle; m <= 8).
-* ``fast_count_spectrum``: radix-3 decimation butterfly over Z[zeta_3],
-  O(m * 3^m) ring operations, integer-only.  The (a, b) pair is one
-  (2, 3^m) array.  Read transposed, the table puts its low ceil(m/2)
-  digits on top, so their stages walk long contiguous runs in int16; one
-  transposing copy into int32 restores the index order for the stages on
-  the high digits.  Every stage writes into the other of two ping-pong
-  buffers.
+* ``count_spectra``: a radix-3 decimation butterfly on the counts
+  themselves, O(m * 3^m) additions, integer-only, for several functions at
+  once (``fast_count_spectrum`` is its one-function form).  Each entry
+  holds (N1, N2) of the points gathered so far, so counts never pass
+  through Z[zeta_3].  Stage s runs in the narrowest unsigned dtype that
+  holds 3^s, from uint8 up; up to 2^17 entries, the members of a call
+  share each stage.  Read transposed, the table puts its low ceil(m/2)
+  digits on top, so their stages walk long contiguous runs; one
+  transposing copy restores the index order for the stages on the high
+  digits.  The last stage writes the int32 counts the spectra keep.
 
 The test suite requires the two to agree bit-exactly.
 """
@@ -135,9 +138,9 @@ def combine(u: int, r: int, f: TernaryFunction, g: TernaryFunction) -> TernaryFu
 # ---------------------------------------------------------------------------
 
 
-# |a|, |b| <= 3^m, so 3^m - a - b and 3*(N1 + N2) are at most 3^(m+1) in
-# absolute value: count recovery stays in int32 for m <= 18.
-assert 3 ** (gf3.MAX_M + 1) < 2**31, "int32 count recovery overflows at MAX_M"
+# N1 + N2 <= 3^m, so |2*Re| <= 3*(N1 + N2) + 2*3^m stays below 2^31 for
+# m <= 18: the doubled real part is computed in int32.
+assert 3 ** (gf3.MAX_M + 1) < 2**31, "int32 doubled real part overflows at MAX_M"
 
 
 class CountSpectrum:
@@ -183,88 +186,141 @@ class CountSpectrum:
         """Z[zeta] coordinate b = N1 - N2 per shift."""
         return self.n1.astype(np.int64) - self.n2
 
-    @classmethod
-    def from_transform_pair(cls, m: int, a: np.ndarray, b: np.ndarray) -> "CountSpectrum":
-        """Recover counts from ring coordinates in int32; non-divisibility is a bug."""
-        t = np.subtract(gf3.pow3(m), a, dtype=np.int32)
-        t -= b
-        n2 = t // 3
-        if (3 * n2 != t).any():
-            raise ConsistencyError("3^m - a - b not divisible by 3: transform produced an invalid pair")
-        return cls(m, np.add(b, n2, out=t), n2)  # N1 = b + N2 takes t's buffer
-
 
 # ---------------------------------------------------------------------------
 # Transforms
 # ---------------------------------------------------------------------------
 
-# After k stages every entry is a sum of 3^k units zeta^j, so |a|, |b| <= 3^k.
-# Inside stage k + 1 the largest intermediate is d_a - d_b (d = x2 - x1), at
-# most 4*3^k.  The first ceil(m/2) stages (k <= ceil(m/2) - 1) run in int16:
-# 4*3^7 = 8748 < 2^15 for m <= 16.  All m stages fit int32: 4*3^(m-1) < 2^31
-# for m <= 19.
-assert 4 * 3 ** ((gf3.MAX_M + 1) // 2 - 1) < 2**15, "int16 butterfly half overflows at MAX_M"
-assert 4 * 3 ** (gf3.MAX_M - 1) < 2**31, "int32 butterfly overflows at MAX_M"
+# After s stages an entry counts the values of F(x) - w.x over 3^s points x,
+# so every count and every intermediate of stage s lies in [0, 3^s].  Stage s
+# writes the narrowest unsigned dtype that holds 3^s (uint8 for s <= 5,
+# uint16 for s <= 10, uint32 beyond) from the dtype of stage s - 1; the last
+# stage writes uint32 into the int32 output, exact while 3^m < 2^31.
+_DTYPES = (np.uint8, np.uint16, np.uint32)
+assert 3**gf3.MAX_M < 2**31, "int32 counts overflow at MAX_M"
+
+# Entries (members times 3^m) per butterfly: all four family members share
+# each stage's calls up to m = 9, and go one at a time from m = 11.
+_BATCH_ENTRIES = 2**17
 
 
-def _stages(src: np.ndarray, dst: np.ndarray, d: np.ndarray, positions) -> np.ndarray:
-    """Radix-3 stages on the (a, b) rows of ``src``, one per digit position p.
+def _plan(m: int) -> list[tuple]:
+    """The butterfly's steps (p, dtype), each writing ``dtype`` into the other buffer.
 
-    Along digit p, with x_j the entry whose digit is j, a stage writes the
-    length-3 transform y_k = x_0 + zeta^(-k) x_1 + zeta^(-2k) x_2 as
-    d = x2 - x1, zd = zeta*d = (-d_b, d_a - d_b), y0 = x0 + x1 + x2,
-    y1 = x0 - x1 + zd and y2 = x0 - x2 - zd.  Stages alternate between
-    ``src`` and ``dst`` ((2, 3^m), one dtype); ``d`` holds 2*3^(m-1)
-    entries.  Returns the buffer holding the result.
+    A step is the stage along digit position p, or for p = None the copy
+    that restores the index order.  The low L = ceil(m/2) digits come first,
+    in the transposed layout, where they sit at positions m - L .. m - 1; the
+    high digits follow at positions L .. m - 1.
     """
-    for p in positions:
-        x = src.reshape(2, -1, 3, 3**p)
-        y = dst.reshape(2, -1, 3, 3**p)
-        x0, x1, x2 = x[:, :, 0], x[:, :, 1], x[:, :, 2]
-        y0, y1, y2 = y[:, :, 0], y[:, :, 1], y[:, :, 2]
-        dd = d.reshape(2, -1, 3**p)
-        np.subtract(x2, x1, out=dd)
-        np.subtract(dd[0], dd[1], out=dd[0])
-        np.negative(dd[1], out=dd[1])
-        zd = dd[::-1]  # (-d_b, d_a - d_b)
-        np.add(x0, x1, out=y0)
-        np.add(y0, x2, out=y0)
-        np.subtract(x0, x1, out=y1)
-        np.add(y1, zd, out=y1)
-        np.subtract(x0, x2, out=y2)
-        np.subtract(y2, zd, out=y2)
-        src, dst = dst, src
-    return src
+    L = (m + 1) // 2
+    steps = [
+        (s - 1 + m - L if s <= L else s - 1, next(t for t in _DTYPES if 3**s <= np.iinfo(t).max))
+        for s in range(1, m + 1)
+    ]
+    steps[-1] = (steps[-1][0], np.uint32)
+    if m > L:
+        steps.insert(L, (None, steps[L - 1][1]))
+    return steps
+
+
+def _stage(x: np.ndarray, y: np.ndarray, p: int, total: int) -> None:
+    """One radix-3 stage along digit position p, from counts ``x`` into ``y``.
+
+    ``x`` and ``y`` are (B, 2, 3^m) unsigned arrays holding (N1, N2) per
+    member and entry; ``y`` may be the wider.  Every entry of ``x`` counts
+    ``total`` points, so its N0 is z = ``total`` - N1 - N2.  With x_j the
+    entry whose digit p is j, the entry y_k whose shift digit is k has
+    y_k[lambda] = sum_j x_j[lambda + k*j]:
+
+        y0 = x0 + x1 + x2
+        y1 = (x0.N1 + x1.N2 + z2, x0.N2 + z1 + x2.N1)
+        y2 = (x0.N1 + z1 + x2.N2, x0.N2 + x1.N1 + z2)
+
+    (z2, z1) go first into the N1 rows of (y1, y2), which then gather their
+    other terms.  Each call covers both shift digits 1 and 2 of one row.
+    """
+    x = x.reshape(x.shape[0], 2, -1, 3, 3**p)
+    y = y.reshape(x.shape)
+    n1, n2 = y[:, 0, :, 1:], y[:, 1, :, 1:]  # rows N1 and N2 of (y1, y2)
+    np.subtract(x.dtype.type(total), x[:, 0, :, :0:-1], out=n1, dtype=y.dtype)
+    np.subtract(n1, x[:, 1, :, :0:-1], out=n1)  # (z2, z1)
+    np.add(x[:, 1, :, :1], x[:, 0, :, :0:-1], out=n2, dtype=y.dtype)  # x0.N2 + (x2.N1, x1.N1)
+    np.add(n2, n1[:, :, ::-1], out=n2)  # + (z1, z2)
+    np.add(n1, x[:, 0, :, :1], out=n1)  # (z2, z1) + x0.N1
+    np.add(n1, x[:, 1, :, 1:], out=n1)  # + (x1.N2, x2.N2)
+    np.add(x[:, :, :, 0], x[:, :, :, 1], out=y[:, :, :, 0], dtype=y.dtype)
+    np.add(y[:, :, :, 0], x[:, :, :, 2], out=y[:, :, :, 0])
+
+
+def _leading(buf: np.ndarray, dtype, shape: tuple) -> np.ndarray:
+    """The leading bytes of the contiguous ``buf`` as a ``dtype`` array of ``shape``."""
+    size = int(np.prod(shape)) * np.dtype(dtype).itemsize
+    return buf.reshape(-1).view(np.uint8)[:size].view(dtype).reshape(shape)
+
+
+def count_spectra(members) -> list[CountSpectrum]:
+    """Count spectra of functions on one F_3^m by a count-domain butterfly.
+
+    Each butterfly entry holds the counts (N1, N2) of F(x) - w.x over the
+    points x it has gathered: one point per entry before the first stage,
+    all 3^m after the last (see ``_stage``), so no ring arithmetic and no
+    recovery pass.  Members share one stacked butterfly up to
+    ``_BATCH_ENTRIES`` entries.  The table index lo + 3^L*hi splits into
+    its low L = ceil(m/2) and high m - L digits.  The point counts are laid
+    out transposed, so the stages on the low digits walk contiguous runs of
+    at least 3^(m-L) entries; one transposing copy restores the index order
+    for the high digits (see ``_plan``).  The steps alternate between one
+    workspace, allocated per call, and the batch's fresh int32 output, so
+    the last stage lands in the output, which only the spectra keep.
+
+    A count that breaks sum_w N_lambda(w) = 3^(m-1)*(3^m - 1) +
+    3^m*[F(0) = lambda] (lambda = 1, 2) raises ``ConsistencyError``.  The
+    sums are taken mod 2^32, one uint32 reduction per row; a single count
+    off by less than 2^32 still breaks them.
+    """
+    members = list(members)
+    m = members[0].m
+    if any(F.m != m for F in members):
+        raise ValueError("count_spectra needs functions of one dimension")
+    n, L = gf3.pow3(m), (m + 1) // 2
+    lo, hi = gf3.pow3(L), gf3.pow3(m - L)
+    steps = _plan(m)
+    per = max(1, min(4, _BATCH_ENTRIES // n))
+    wide = max((np.dtype(dtype).itemsize for _, dtype in steps[:-1]), default=1)
+    work = np.empty(per * 2 * n * wide, np.uint8)
+    base = 3 ** (m - 1) * (n - 1)
+    spectra = []
+    for start in range(0, len(members), per):
+        batch = members[start : start + per]
+        shape = (len(batch), 2, n)
+        out = np.empty(shape, np.int32)
+        bufs = (work, out) if len(steps) % 2 else (out, work)
+        x = _leading(bufs[0], np.uint8, shape)
+        tables = np.stack([F.table for F in batch]).reshape(len(batch), hi, lo)
+        tables = np.ascontiguousarray(tables.transpose(0, 2, 1))  # faster than two strided reads
+        for row, value in enumerate((1, 2)):
+            np.equal(tables, value, out=x[:, row].reshape(tables.shape).view(np.bool_))
+        total = 1
+        for i, (p, dtype) in enumerate(steps, 1):
+            y = _leading(bufs[i % 2], dtype, shape)
+            if p is None:
+                np.copyto(y.reshape(-1, hi, lo), x.reshape(-1, lo, hi).transpose(0, 2, 1))
+            else:
+                _stage(x, y, p, total)
+                total *= 3
+            x = y
+        for F, counts, sums in zip(batch, out, x.sum(axis=2, dtype=np.uint32).tolist()):
+            if sums != [(base + n * (int(F.table[0]) == value)) % 2**32 for value in (1, 2)]:
+                raise ConsistencyError(
+                    "count spectrum breaks sum_w N_lambda(w) = 3^(m-1)*(3^m - 1) + 3^m*[F(0) = lambda]"
+                )
+            spectra.append(CountSpectrum(m, counts[0], counts[1]))
+    return spectra
 
 
 def fast_count_spectrum(F: TernaryFunction) -> CountSpectrum:
-    """Radix-3 decimation butterfly over Z[zeta_3]; O(m * 3^m) ring ops.
-
-    The table index lo + 3^L*hi splits into its low L = ceil(m/2) and high
-    H = m - L digits.  The int8 table is copied transposed, (3^H, 3^L) ->
-    (3^L, 3^H), so the low digits sit at positions H..m-1 and every stage
-    on them walks contiguous runs of at least 3^H entries; those L stages
-    run in int16 (bounds above).  One transposing copy into int32 restores
-    the index order, and the last H stages run on positions L..m-1, with
-    runs of at least 3^L.  Two (2, 3^m) int32 buffers serve both halves:
-    the int16 stages use their leading halves.
-    """
-    m = F.m
-    n, L = gf3.pow3(m), (m + 1) // 2
-    lo, hi = gf3.pow3(L), gf3.pow3(m - L)
-    bufs = [np.empty((2, n), np.int32) for _ in range(2)]
-    d = np.empty(2 * n // 3, np.int32)
-    half = [buf.reshape(-1).view(np.int16)[: 2 * n].reshape(2, n) for buf in bufs]
-    v = np.ascontiguousarray(F.table.reshape(hi, lo).T).reshape(-1)
-    # zeta^v = (a, b) = (1, 0), (0, 1), (-1, -1): a = 1 - v and b = v - 3*(v >> 1)
-    np.subtract(1, v, out=half[0][0])
-    np.multiply(v >> 1, -3, out=half[0][1])
-    half[0][1] += v
-    x16 = _stages(half[0], half[1], d.view(np.int16)[: d.size], range(m - L, m))
-    i = 0 if x16 is half[1] else 1  # the int32 buffer that does not hold x16
-    np.copyto(bufs[i].reshape(2, hi, lo), x16.reshape(2, lo, hi).transpose(0, 2, 1))
-    x = _stages(bufs[i], bufs[1 - i], d, range(L, m))
-    return CountSpectrum.from_transform_pair(m, x[0], x[1])
+    """The count spectrum of one function: ``count_spectra([F])[0]``."""
+    return count_spectra([F])[0]
 
 
 def naive_count_spectrum(F: TernaryFunction) -> CountSpectrum:

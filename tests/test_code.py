@@ -42,6 +42,15 @@ def test_validate_rejects_equal_functions():
     assert exc.value.hypothesis == "non-zero"
 
 
+def test_validate_reports_the_first_member_in_family_order():
+    # every member is transformed before any check: f's linear coincidence
+    # still comes before f - g = 0
+    f = TernaryFunction.linear(3, 5)
+    with pytest.raises(ValidationError) as exc:
+        validate(3, f, f)
+    assert (exc.value.function_name, exc.value.hypothesis, exc.value.witness) == ("f", "linear-coset-free", 5)
+
+
 def test_validate_rejects_nonvanishing_origin():
     table = np.zeros(27, dtype=np.int8)
     table[0] = 1

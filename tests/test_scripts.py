@@ -52,3 +52,19 @@ def test_cross_oracle_rejects_out_of_range_m(m):
     proc = run_script("cross_oracle_experiment.py", "--m", m, timeout=30)
     assert proc.returncode == 2
     assert "m must be between 2 and 5" in proc.stderr
+
+
+@pytest.mark.parametrize("limit, code", [("4", 0), ("0.001", 1)])
+def test_max_rss_enforces_its_limit(limit, code):
+    # a child that holds 32 MiB: under a 4 GiB limit it passes, over 1 MiB it fails
+    hold = "import numpy; a = numpy.ones(2**22); print(a.size)"
+    proc = run_script("max_rss.py", "--limit-gib", limit, "--", sys.executable, "-c", hold, timeout=60)
+    assert proc.returncode == code, proc.stderr
+    assert proc.stdout == "4194304\n"  # the command's stdout passes through
+    peak = int(re.search(r"^max_rss: (\d+) MiB peak", proc.stderr, re.MULTILINE).group(1))
+    assert peak >= 32
+
+
+def test_max_rss_passes_on_the_command_exit_code():
+    proc = run_script("max_rss.py", "--limit-gib", "4", "--", sys.executable, "-c", "raise SystemExit(3)", timeout=60)
+    assert proc.returncode == 3

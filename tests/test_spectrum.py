@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from terncode import gf3
+from terncode import gf3, spectrum
 from terncode.errors import CapacityError, ConsistencyError
 from terncode.spectrum import (
     CountSpectrum,
     TernaryFunction,
     combine,
+    count_spectra,
     fast_count_spectrum,
     naive_count_spectrum,
     parseval_sum,
@@ -106,6 +107,69 @@ def test_spectrum_arrays_are_read_only_int32():
         assert sp.a.dtype == sp.b.dtype == sp.n0.dtype == np.int64
 
 
+def _assert_same_spectrum(got, want):
+    for arr_g, arr_w in ((got.n1, want.n1), (got.n2, want.n2), (got.rd, want.rd)):
+        assert np.array_equal(arr_g, arr_w)
+
+
+def _constant(m, c):
+    return TernaryFunction(m, np.full(3**m, c))
+
+
+@pytest.mark.parametrize("m", [5, 6, 8])
+def test_count_spectra_equal_naive_at_dtype_boundaries(m):
+    # m = 5: every stage in uint8; m = 6: the last stage widens from uint8
+    # straight to uint32; m = 8: uint8, uint16 and uint32 stages.  The
+    # constant c reaches N_c = 3^s after every stage s.
+    rng = np.random.default_rng(40 + m)
+    members = [_constant(m, c) for c in range(3)]
+    members += [TernaryFunction.random(m, rng, zero_at_origin=False) for _ in range(2 if m == 8 else 4)]
+    for F, sp in zip(members, count_spectra(members)):
+        _assert_same_spectrum(sp, naive_count_spectrum(F))
+
+
+@pytest.mark.parametrize("m", [10, 11])
+def test_count_spectra_past_uint16(m):
+    # m = 10 transposes in uint8 and widens to uint16 after it; m = 11 runs a
+    # uint16 stage before the transpose and ends its uint16 stages at 3^10
+    for c, sp in enumerate(count_spectra([_constant(m, c) for c in range(3)])):
+        counts = np.stack([sp.n0, sp.n1, sp.n2])
+        assert counts[:, 0].tolist() == [3**m if lam == c else 0 for lam in range(3)]
+        assert (counts[:, 1:] == 3 ** (m - 1)).all()
+    rng = np.random.default_rng(50 + m)
+    for sp in count_spectra([TernaryFunction.random(m, rng, zero_at_origin=False) for _ in range(2)]):
+        assert parseval_sum(sp) == 3 ** (2 * m)
+
+
+@pytest.mark.parametrize("per", [1, 2, 4])
+def test_count_spectra_batch_split(monkeypatch, per):
+    # five members: the last batch is partial for every split
+    m = 6
+    rng = np.random.default_rng(60)
+    members = [TernaryFunction.random(m, rng, zero_at_origin=False) for _ in range(5)]
+    monkeypatch.setattr(spectrum, "_BATCH_ENTRIES", per * 3**m)
+    for F, sp in zip(members, count_spectra(members), strict=True):
+        _assert_same_spectrum(sp, naive_count_spectrum(F))
+        for arr in (sp.n1, sp.n2, sp.rd):
+            assert arr.dtype == np.int32
+            assert not arr.flags.writeable
+
+
+def test_count_sum_guard_catches_one_wrong_count(monkeypatch):
+    m = 4
+    stage = spectrum._stage
+
+    def corrupt(x, y, p, total):
+        stage(x, y, p, total)
+        if total == 3 ** (m - 1):  # the last stage: one N1 count one too high
+            y[0, 0, 5] += 1
+
+    monkeypatch.setattr(spectrum, "_stage", corrupt)
+    F = TernaryFunction.random(m, np.random.default_rng(21))
+    with pytest.raises(ConsistencyError, match=r"breaks sum_w N_lambda\(w\)"):
+        fast_count_spectrum(F)
+
+
 def test_zero_function_m12_hits_every_stage_bound():
     # every stage of the zero function's butterfly reaches |a| = 3^k at w = 0
     m = 12
@@ -156,8 +220,6 @@ def test_count_reconstruction_and_divisibility():
     assert np.array_equal(sp.a, sp.n0 - sp.n2)
     assert np.array_equal(sp.b, sp.n1 - sp.n2)
     assert np.all((gf3.pow3(4) - sp.a - sp.b) % 3 == 0)
-    with pytest.raises(ConsistencyError):
-        CountSpectrum.from_transform_pair(2, np.full(9, 1), np.zeros(9, dtype=np.int64))
     # N1, N2 >= 0 and N1 + N2 <= 3^m, so the derived N0 is a count too
     assert not CountSpectrum(2, np.full(9, 4), np.full(9, 5)).n0.any()
     for n1, n2 in ((-1, 0), (0, -1), (5, 5)):
