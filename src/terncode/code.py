@@ -240,7 +240,10 @@ def cwe(spec: CodeSpec) -> CompleteWeightEnumerator:
     base = total + 1
     for name in FAMILY_NAMES:
         sp = spec.spectra[name]
-        keys, counts = np.unique(sp.n1.astype(np.int64) * base + sp.n2, return_counts=True)
+        keys = sp.n1.astype(np.int64)  # built in place: one int64 temporary per member
+        keys *= base
+        keys += sp.n2
+        keys, counts = np.unique(keys, return_counts=True)
         n1, n2 = np.divmod(keys, base)
         for t1, t2, c in zip(n1.tolist(), n2.tolist(), counts.tolist()):
             t0 = total - 1 - t1 - t2
@@ -306,11 +309,21 @@ def all_codewords_matrix(spec: CodeSpec) -> tuple[np.ndarray, list[tuple[int, in
     v ascending.  Row 0 is the zero word, and negating a word negates its
     message, so -c sits at row ``gf3.neg_perm(m + 2)[i]``.  Small-m helper
     for brute-force work (m <= 5).
+
+    The product is formed by blocks of the generator matrix G: the low m
+    message digits give v.x = ``digits_table(m).T @ G[:m]`` (3^m rows) and
+    the top two give r*g + u*f = ``digits_table(2).T @ G[m:]`` (9 rows), so
+    row (3u + r)*3^m + v is their sum mod 3, one broadcast add.
     """
-    if spec.m > 5:
-        raise CapacityError(f"full codeword matrix supports m <= 5, got m={spec.m}")
-    total = gf3.pow3(spec.m)
-    words = gf3.digits_table(spec.m + 2).T @ _generator_matrix(spec) % 3
+    m = spec.m
+    if m > 5:
+        raise CapacityError(f"full codeword matrix supports m <= 5, got m={m}")
+    total = gf3.pow3(m)
+    gen = _generator_matrix(spec)
+    low = gf3.digits_table(m).T @ gen[:m]
+    top = gf3.digits_table(2).T @ gen[m:]
+    words = (top[:, None] + low[None]).reshape(9 * total, -1)
+    words %= 3
     labels = [(u, r, v) for u in range(3) for r in range(3) for v in range(total)]
     return words, labels
 

@@ -3,8 +3,11 @@
 Three independent certifiers:
 
 * ``is_minimal_bruteforce``: the definition itself.  Materializes every
-  codeword and tests all ordered support inclusions on bit-packed supports
-  (m <= 5).
+  codeword and decides all ordered support inclusions (m <= 5), once per
+  pair {c, -c}: the words a covers are those that vanish wherever a does,
+  the AND of the bitsets Z[x] of words with zero coordinate x over the
+  zero coordinates x of a, in uint64 words over the (3^(m+2) - 1)/2
+  representative rows.
 * ``spectral_check``: the exact spectral criterion.  Up to scalar
   multiples, every codeword is s_v (a purely linear word) or F + s_v with
   F one of the four literal family members, and support covering between
@@ -198,28 +201,92 @@ class MinimalityVerdict:
 # ---------------------------------------------------------------------------
 
 BRUTEFORCE_MAX_M = 5
+# a-rows per zero-bitset gather: the gather holds this many rows times the
+# zero coordinates of the sparsest word, in uint64 words over R bits.  At
+# m = 5 the oracle's allocation peak is 1.06 MiB with 16 rows and 1.48 MiB
+# with 64, for about 10% less time.
+_COVER_BLOCK = 16
+
+
+class _ZeroBitsets:
+    """The words covered by each representative row, from transposed bitsets.
+
+    The rows of ``zero`` are the representatives: one row r < -r per pair
+    {c, -c} of nonzero words (the two share a support).  Z[x] is the bitset
+    over representatives b of the words with b_x = 0, packed little-endian
+    into uint64 words; a last row sets every valid bit and pads the gathers.
+    Supp(b) is inside Supp(a) exactly when b vanishes wherever a does, so
+    the representatives a covers form the AND of Z[x] over the zero
+    coordinates x of a.
+    """
+
+    def __init__(self, zero: np.ndarray):
+        self.zero = zero  # (R, 3^m - 1): zero[b, x] is b_x == 0
+        n_reps, n_coords = zero.shape
+        bits = np.zeros((n_coords + 1, -(-n_reps // 64) * 8), np.uint8)
+        packed = bits[:, : -(-n_reps // 8)]
+        packed[:-1] = np.packbits(zero.T, axis=1, bitorder="little")
+        packed[-1] = np.packbits(np.ones(n_reps, bool), bitorder="little")
+        self.z = bits.view("<u8")
+        self.coords = np.arange(n_coords)
+
+    def covered(self, start: int) -> dict[int, np.ndarray]:
+        """For each representative in [start, start + _COVER_BLOCK) that
+        covers another one: the representatives it covers, ascending."""
+        zero = self.zero[start : start + _COVER_BLOCK]
+        pad = len(self.coords)
+        # zero coordinates first, then at least one pad row each, so an AND
+        # never runs over nothing and the bits past R stay clear
+        width = int(zero.sum(axis=1).max()) + 1
+        idx = np.sort(np.where(zero, self.coords, pad), axis=1)[:, :width]
+        # (width, rows, words): reducing over the leading axis ANDs whole
+        # rows, several times faster than a reduction over the middle axis
+        cover = np.bitwise_and.reduce(self.z[idx.T], axis=0)
+        own = np.arange(start, start + len(zero))
+        cover[np.arange(len(zero)), own >> 6] &= ~(np.uint64(1) << (own & 63).astype(np.uint64))
+        return {
+            start + int(i): np.flatnonzero(np.unpackbits(cover[i].view(np.uint8), bitorder="little"))
+            for i in np.flatnonzero(cover.any(axis=1))
+        }
 
 
 def is_minimal_bruteforce(spec: CodeSpec, max_witnesses: int = 1) -> MinimalityVerdict:
-    """Check every ordered pair of nonzero, non-proportional codewords."""
+    """Check every ordered pair of nonzero, non-proportional codewords.
+
+    Rows a ascend, and each counts 3^(m+2) - 3 checks: every row b but 0,
+    a and -a.  The witnesses of a row are the rows b it covers, ascending;
+    the scan stops once ``max_witnesses`` are listed.  Coverage is decided
+    once per pair {c, -c}, on the zero bitsets of :class:`_ZeroBitsets`, in
+    blocks of representatives taken up in ascending order as the rows reach
+    them (a row's representative is never above it).
+    """
     if spec.m > BRUTEFORCE_MAX_M:
         raise CapacityError(f"brute-force oracle supports m <= {BRUTEFORCE_MAX_M}, got m={spec.m}")
     words, labels = all_codewords_matrix(spec)
-    supports = np.ascontiguousarray(np.packbits(words != 0, axis=1).T)  # byte-major: reduce over rows
     n_rows = len(labels)
     negated = gf3.neg_perm(spec.m + 2)  # row of -c: the negated message; row 0 is the zero word
+    reps = np.flatnonzero(np.arange(n_rows) < negated)
+    rep_of = np.zeros(n_rows, np.int64)
+    rep_of[reps] = rep_of[negated[reps]] = np.arange(len(reps))
+    zero = words[reps] == 0
+    del words  # freed before the scan, which needs only these zero coordinates
+    bitsets = _ZeroBitsets(zero)
 
+    covered: dict[int, np.ndarray] = {}  # representative -> the representatives it covers
+    scanned = 0  # representatives decided so far
     witnesses: list[CoverWitness] = []
-    checks = 0
-    for a_row in range(1, n_rows):
-        covered = ~(supports & ~supports[:, a_row, None]).any(axis=0)
-        covered[[0, a_row, negated[a_row]]] = False
-        checks += n_rows - 3
-        for b_row in np.flatnonzero(covered):
-            witnesses.append(CoverWitness(labels[a_row], labels[int(b_row)]))
+    for a_row, rep in enumerate(rep_of.tolist()[1:], start=1):
+        if rep >= scanned:
+            covered.update(bitsets.covered(scanned))
+            scanned += _COVER_BLOCK
+        if rep not in covered:
+            continue
+        b_reps = reps[covered[rep]]
+        for b_row in np.sort(np.concatenate([b_reps, negated[b_reps]])).tolist():
+            witnesses.append(CoverWitness(labels[a_row], labels[b_row]))
             if len(witnesses) >= max_witnesses:
-                return MinimalityVerdict(False, "cover-oracle", witnesses, checks)
-    return MinimalityVerdict(not witnesses, "cover-oracle", witnesses, checks)
+                return MinimalityVerdict(False, "cover-oracle", witnesses, a_row * (n_rows - 3))
+    return MinimalityVerdict(not witnesses, "cover-oracle", witnesses, (n_rows - 1) * (n_rows - 3))
 
 
 # ---------------------------------------------------------------------------

@@ -113,7 +113,7 @@ def test_out_of_range_index_raises(build, index):
 
 def test_codeword_matrix_rows_are_materialized_words():
     rng = np.random.default_rng(5)
-    for m in (2, 3, 4):
+    for m in (2, 3, 4, 5):
         spec = random_valid_spec(m, rng)
         words, labels = all_codewords_matrix(spec)
         assert words.dtype == np.int8

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,10 +137,21 @@ def _label_scan(spec):
     return found
 
 
+def _shared_supports(spec) -> int:
+    """The supports held by more than one pair {c, -c} of nonzero words."""
+    words, _ = all_codewords_matrix(spec)
+    holders = Counter(tuple(np.flatnonzero(word)) for word in words[1:])
+    return sum(count > 2 for count in holders.values())
+
+
 @pytest.mark.parametrize("m", [2, 3])
 def test_bruteforce_follows_the_label_double_loop(m):
     rng = np.random.default_rng(m)
-    for spec in (sparse_random_spec(m, rng), random_valid_spec(m, rng)):
+    specs = (sparse_random_spec(m, rng), random_valid_spec(m, rng))
+    # two non-proportional words with one support cover each other: the
+    # oracle scans one row per {c, -c} and must still report both
+    assert _shared_supports(specs[0]) == {2: 1, 3: 4}[m]
+    for spec in specs:
         found = _label_scan(spec)
         assert len(found) > 7
         pairs_per_row = 9 * 3**m - 3
@@ -148,6 +161,47 @@ def test_bruteforce_follows_the_label_double_loop(m):
             assert [(w.a_params, w.b_params) for w in verdict.witnesses] == [(a, b) for a, b, _ in found[:cap]]
             scanned = found[cap - 1][2] if cap <= len(found) else 9 * 3**m - 1
             assert verdict.checks == scanned * pairs_per_row
+
+
+def _byte_major_scan(spec, max_witnesses: int):
+    """The covering pairs and check count of a plain per-row scan: row a
+    against every row b at once, on byte-packed supports."""
+    words, labels = all_codewords_matrix(spec)
+    supports = np.ascontiguousarray(np.packbits(words != 0, axis=1).T)  # byte-major: reduce over rows
+    n_rows = len(labels)
+    negated = gf3.neg_perm(spec.m + 2)
+    found, checks = [], 0
+    for a_row in range(1, n_rows):
+        covered = ~(supports & ~supports[:, a_row, None]).any(axis=0)
+        covered[[0, a_row, negated[a_row]]] = False
+        checks += n_rows - 3
+        for b_row in np.flatnonzero(covered):
+            found.append((labels[a_row], labels[int(b_row)]))
+            if len(found) >= max_witnesses:
+                return found, checks
+    return found, checks
+
+
+def test_bruteforce_matches_the_byte_major_scan():
+    rng = np.random.default_rng(44)
+    specs = [sparse_random_spec(4, rng), sparse_random_spec(4, rng, support=1)]
+    specs += [random_valid_spec(4, rng), sparse_random_spec(5, rng)]
+    for spec in specs:
+        for cap in (1, 7, 10**6):
+            found, checks = _byte_major_scan(spec, cap)
+            verdict = is_minimal_bruteforce(spec, max_witnesses=cap)
+            assert [(w.a_params, w.b_params) for w in verdict.witnesses] == found
+            assert verdict.checks == checks
+            assert verdict.minimal == (not found)
+    assert not is_minimal_bruteforce(specs[0]).minimal
+
+
+@pytest.mark.parametrize("m", [4, 5])
+def test_minimal_code_counts_every_ordered_pair(m):
+    n = 3 ** (m + 2)
+    verdict = is_minimal_bruteforce(random_valid_spec(m, np.random.default_rng(m)), max_witnesses=10**6)
+    assert verdict.minimal
+    assert verdict.checks == (n - 1) * (n - 3)
 
 
 def test_simplex_subcode_alone_is_minimal():
