@@ -6,8 +6,7 @@ The shell codes are weight-symmetric, so a window whose orbits are all
 clean certifies in milliseconds (see terncode.minimality).  A window with
 a violated condition is decided on the lines through its heavy shifts,
 which hold every violation: O(3^m) pairs per heavy shift, one process,
-instead of the 3^(2m) pairs of the full sweep.  Use --budget to bound a
-run.
+never all 3^(2m) shift pairs.  Use --budget to bound a run.
 
     python scripts/sweep_spectral.py --m 9
     python scripts/sweep_spectral.py --m 10 11

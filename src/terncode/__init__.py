@@ -4,7 +4,7 @@ Submodules:
 
 * :mod:`terncode.gf3` -- vectors over GF(3), enumeration order, lookup tables
 * :mod:`terncode.kraw` -- Krawtchouk/Lloyd polynomial evaluation
-* :mod:`terncode.spectrum` -- exact Walsh transforms in Z[zeta_3]
+* :mod:`terncode.spectrum` -- exact Walsh transforms as per-shift value counts
 * :mod:`terncode.code` -- the generic code, weights, complete weight enumerators
 * :mod:`terncode.minimality` -- covering oracle and the spectral minimality criterion
 * :mod:`terncode.hwconstruct` -- the Hamming-weight-shell construction and closed forms

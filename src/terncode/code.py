@@ -224,9 +224,9 @@ def weight_distribution(spec: CodeSpec) -> WeightDistribution:
 def cwe(spec: CodeSpec) -> CompleteWeightEnumerator:
     """Complete weight enumerator aggregated from the four spectra.
 
-    One ``unique`` of 1-D (N1, N2) keys per family member; each distinct
-    count pair gives the sign +1 term and, with N1/N2 swapped, the sign -1
-    term.
+    One in-place sort of 1-D (N1, N2) keys per family member, counted by
+    runs; each distinct count pair gives the sign +1 term and, with N1/N2
+    swapped, the sign -1 term.
     """
     m = spec.m
     total = gf3.pow3(m)
@@ -238,13 +238,20 @@ def cwe(spec: CodeSpec) -> CompleteWeightEnumerator:
     # CountSpectrum checks N1 + N2 <= 3^m), less the x = 0 coordinate, always
     # of value 0.
     base = total + 1
+    # one int64 key buffer and one run-start mask serve all four members;
+    # the keys are built and sorted in place
+    keys = np.empty(total, np.int64)
+    run_start = np.empty(total, bool)
+    run_start[0] = True
     for name in FAMILY_NAMES:
         sp = spec.spectra[name]
-        keys = sp.n1.astype(np.int64)  # built in place: one int64 temporary per member
-        keys *= base
+        np.multiply(sp.n1, base, out=keys, dtype=np.int64)
         keys += sp.n2
-        keys, counts = np.unique(keys, return_counts=True)
-        n1, n2 = np.divmod(keys, base)
+        keys.sort()
+        np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+        starts = np.flatnonzero(run_start)
+        counts = np.diff(starts, append=total)
+        n1, n2 = np.divmod(keys[starts], base)
         for t1, t2, c in zip(n1.tolist(), n2.tolist(), counts.tolist()):
             t0 = total - 1 - t1 - t2
             for key in ((t0, t1, t2), (t0, t2, t1)):

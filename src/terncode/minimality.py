@@ -1,6 +1,6 @@
 """Minimality certification for the ternary codes of :mod:`terncode.code`.
 
-Three independent certifiers:
+Two certifiers and one sufficient test:
 
 * ``is_minimal_bruteforce``: the definition itself.  Materializes every
   codeword and decides all ordered support inclusions (m <= 5), once per
@@ -24,30 +24,28 @@ Three independent certifiers:
     RD(F1+F2, v1+v2) + RD(F1-F2, v1-v2) - 2*RD(F1, v1) + RD(F2, v2) != T.
 
   Sums and differences F1 +/- F2 are again +/- a family member, and
-  RD(-F, w) = RD(F, -w), so four spectra feed the whole sweep.  Every
+  RD(-F, w) = RD(F, -w), so four spectra feed the whole criterion.  Every
   violation maps back to an explicit covering codeword pair.
 * ``ashikhmin_barg``: the classical sufficient ratio test, in cross-
   multiplied integers.
 
-``spectral_sweep`` evaluates the criterion on all 3^(2m) pairs (v1, v2);
-it is the oracle the faster paths of ``spectral_check`` are tested against.
-It is vectorized over v2 in v1 blocks that are cosets: the 3^min(3, m)
-rows sharing their high base-3 digits.  Over such a block every operand
-RD(F, +/-(v1 +/- v2)) is a column gather and a row gather of one int32
-table, with no per-pair index array.  Both orders of a mixed pair share
-one sum: (F1, F2) at (v1, v2) and (F2, F1) at (v2, v1) both need
-X = RD(F1+F2, v1+v2) + RD(F1-F2, v1-v2), because RD(-F, -w) = RD(F, w).
-One process scans every block and every comparison, in every mode, and
-yields the int64 scan-order key of each hit: block of v1, comparison,
-then (lo1, lo2, hi2) within the block.  One function turns hit keys into
-the verdict, for the sweep and the heavy-line path alike: the smallest
-key per condition (or the smallest keys of an exhaustive run) gives the
-witnesses, and the comparison of the last one reported gives the check
-count.  A clean sweep costs 20*3^(2m) - 8*3^m checks; on a 2-core machine
-it takes about 0.9 s at m = 8 and 10-14 s at m = 9.
+The scan order.  The criterion is 20 comparisons over the 3^(2m) pairs
+(v1, v2): for each member, triple-minus then triple-plus, then both orders
+of each of the six unordered mixed pairs.  Every violation has a place in
+one fixed order over (comparison, v1, v2), its int64 key (see
+:func:`_key_layout`): v1 runs over cosets of K = 3^min(3, m) rows that
+share their high base-3 digits, and within a coset the 20 comparisons run
+in turn, each over the K*3^m pairs of the coset in row-major (lo1, lo2,
+hi2) order.  Each (coset, comparison) counts K*3^m checks, less the K
+degenerate pairs v1 = v2 of a triple comparison, so the whole criterion
+counts 20*3^(2m) - 8*3^m.  One function turns hit keys into the verdict:
+the smallest key (or of each condition, or the smallest keys of an
+exhaustive run) gives the witnesses, and a scan stopping at the
+comparison of the last one reported gives the check count.  The CLI
+prints both, so this order is part of its output.
 
-``spectral_check`` decides the same criterion without the sweep, in two
-steps.
+``spectral_check`` never visits the 3^(2m) pairs; it decides the criterion
+in two steps.
 
 First, an orbit pre-check.  When every family spectrum is constant on
 Hamming-weight classes (the shell construction of
@@ -59,8 +57,8 @@ Hamming association scheme.  The weights are linear in the composition:
 wt(v1) = na+nc+nd, wt(v2) = nb+nc+nd, wt(v1+v2) = wt(v3) = na+nb+nc and
 wt(v1-v2) = na+nb+nd, and v1 = v2 exactly when na = nb = nd = 0.  So the
 C(m+4, 4) compositions decide the criterion (495 at m = 8, against 3^16
-pairs).  If no orbit violates a condition, the verdict is the one a clean
-sweep reports, check count included.
+pairs).  If no orbit violates a condition, the verdict is the clean one:
+no witness, and the full check count of the scan order.
 
 Otherwise, heavy-shift lines.  Every condition is an integer equation
 sum_i c_i * RD(F_i, w_i) = T with sum_i |c_i| <= 5, so a violation has an
@@ -72,13 +70,13 @@ negations.  Every operand argument is v1, v2, +/-(v1+v2) or +/-(v1-v2),
 so every violation lies on one of the lines v1 = p, v2 = p, v1+v2 = p and
 v1-v2 = p through a point p of P, each holding 3^m pairs.  Scanning those
 at most 4*|P| lines is therefore the whole criterion, not a pre-check.
-Each hit gets the sweep's scan-order key, and the keys go through the
-sweep's verdict function, so the witnesses and the check count are the
-ones the sweep reports.  The shell codes and their scrambled copies
-have P = {0} (four lines); uniformly random valid pairs from m = 6 on
-typically have P empty.  On a 2-core machine a scrambled (m, 2, 4) shell
-certifies in about 2 ms at m = 8, 0.01 s at m = 10 and 0.1 s at m = 12,
-where the sweep takes 0.9 s, minutes and hours.
+Each hit gets its scan-order key, and the keys go through the verdict
+function above, so the witnesses and the check count are those the scan
+order defines.  The shell codes and their scrambled copies have P = {0}
+(four lines); uniformly random valid pairs from m = 6 on typically have
+P empty.  On a 2-core machine a scrambled (m, 2, 4) shell certifies in
+about 2 ms at m = 8, 0.01 s at m = 10 and 0.1 s at m = 12, against
+4.3e7, 3.5e9 and 2.8e11 pairs (v1, v2).
 """
 
 from __future__ import annotations
@@ -290,20 +288,21 @@ def is_minimal_bruteforce(spec: CodeSpec, max_witnesses: int = 1) -> MinimalityV
 
 
 # ---------------------------------------------------------------------------
-# Spectral criterion sweep
+# Spectral criterion: comparisons, scan order and verdict
 # ---------------------------------------------------------------------------
 
 
 # |RD(F, w)| = |2 Re F_hat(w)| <= 2*3^m, because F_hat(w) is a sum of 3^m
-# roots of unity.  Every operand and partial sum the kernel forms is then at
-# most 10*3^m in absolute value (the widest is the mixed-pair left side
-# RD + RD - 2*RD + RD), below 2^31 for m <= 17: the sweep runs in int32.
-assert 10 * 3**gf3.MAX_M < 2**31, "int32 sweep overflows at MAX_M"
+# roots of unity.  Every operand and partial sum of the comparisons is then
+# at most 10*3^m in absolute value (the widest is the mixed-pair left side
+# RD + RD - 2*RD + RD), below 2^31 for m <= 17: the orbit and heavy-line
+# sums run in int32, the dtype of the spectra.
+assert 10 * 3**gf3.MAX_M < 2**31, "int32 comparison sums overflow at MAX_M"
 
-_BLOCK_DIGITS = 3  # a v1 block is one coset of 3^3 rows (same high digits)
+_BLOCK_DIGITS = 3  # a v1 block of the scan order is one coset of 3^3 rows (same high digits)
 
 # The unordered mixed pairs, as (F1, F2, sum operand, difference operand)
-# with each operand a (member, shift kind) of _shift_tables.  One sum
+# with each operand a (member, operand kind) of _comparisons.  One sum
 # X = RD(F1+F2, v1+v2) + RD(F1-F2, v1-v2) serves both orders: (F2, F1) at
 # (v2, v1) has the sum RD(F1+F2, v1+v2) + RD(-(F1-F2), -(v1-v2)) = X,
 # because RD(-F, -w) = RD(F, w).
@@ -314,9 +313,9 @@ _MIXED_PAIRS = tuple(
 )
 
 
-# The sweep's 20 block comparisons in scan order: c = 2*i_F + (0 minus,
-# 1 plus) for the triples of FAMILY_NAMES[i_F], then c = 8 + 2*pair + order
-# for _MIXED_PAIRS, order 0 being (F1, F2) at (v1, v2) and 1 (F2, F1) at
+# The 20 comparisons in scan order: c = 2*i_F + (0 minus, 1 plus) for the
+# triples of FAMILY_NAMES[i_F], then c = 8 + 2*pair + order for
+# _MIXED_PAIRS, order 0 being (F1, F2) at (v1, v2) and 1 (F2, F1) at
 # (v2, v1).
 _COMPARISONS = 20
 assert _COMPARISONS * 9**gf3.MAX_M < 2**63, "scan-order keys overflow int64 at MAX_M"
@@ -324,12 +323,13 @@ _CONDITION_OF = ("triple-minus", "triple-plus") * 4 + ("mixed-pair",) * 12
 
 
 def _key_layout(m: int) -> tuple[int, int, int]:
-    """(K, H, stride) of the scan-order key: K = 3^min(3, m) rows per sweep
+    """(K, H, stride) of the scan-order key: K = 3^min(3, m) rows v1 per
     block, H = 3^m / K blocks, and stride = K*K*H = K*3^m per comparison.
 
-    A hit of comparison c at (v1, v2) has the key (v1 // K, c, v1 % K,
-    v2 % K, v2 // K) in mixed radix (H, 20, K, K, H), so keys ascend in
-    the sweep's scan order.
+    The key of a hit of comparison c at (v1, v2) is (v1 // K, c, v1 % K,
+    v2 % K, v2 // K) in mixed radix (H, 20, K, K, H), and the scan order
+    is the order of the keys: v1 blocks ascending, the 20 comparisons
+    within a block, then row-major (lo1, lo2, hi2) within a comparison.
     """
     K = gf3.pow3(min(_BLOCK_DIGITS, m))
     H = gf3.pow3(m) // K
@@ -354,107 +354,6 @@ def _comparisons(target: int, rd_at, distinct):
         a1, a2 = rd_at(f1, "v1"), rd_at(f2, "v2")
         yield x - 2 * a1 + a2 == target  # (F1, F2) at (v1, v2)
         yield x - 2 * a2 + a1 == target  # (F2, F1) at (v2, v1)
-
-
-def _shift_tables(d: int, rows, neg_rows) -> dict[str, np.ndarray]:
-    """idx(a+b), idx(-(a+b)), idx(a-b) and idx(b-a) for every d-digit b,
-    one row per a in ``rows``; ``neg_rows`` holds the -a."""
-    a = np.concatenate([rows, neg_rows])
-    add, sub = gf3.add_perm_rows(d, a), gf3.sub_perm_rows(d, a)
-    n = len(rows)
-    return {"sum": add[:n], "nsum": sub[n:], "diff": sub[:n], "ndiff": add[n:]}
-
-
-class _BlockKernel:
-    """The spectral conditions over v1 blocks, with int32 tables and reused buffers.
-
-    An index v = lo + K*hi splits into its low L = min(3, m) digits and its
-    high m - L digits (K = 3^L, H = 3^(m-L)).  A block holds the K rows v1
-    with one hi1, and block arrays have shape (K, 3^m): row lo1, column
-    lo2*H + hi2 for v2 = lo2 + K*hi2.  With RT[F][lo, hi] = RD(F, lo + K*hi),
-    RD(F, +/-(v1 +/- v2)) over a block is ``RT[F][:, col][lo_table]``: a
-    gather of H columns picked by hi1 and a gather of whole rows picked by
-    (lo1, lo2), with no per-pair index array.  The comparisons are written
-    out here in int32 rather than taken from :func:`_comparisons`, so the
-    sweep stays an independent oracle for the heavy-line path.
-    """
-
-    def __init__(self, m: int, rd_by_name: dict[str, np.ndarray]):
-        L = min(_BLOCK_DIGITS, m)
-        K, H = gf3.pow3(L), gf3.pow3(m - L)
-        self.hi_digits, self.K, self.H, self.target = m - L, K, H, 2 * gf3.pow3(m)
-        self.neg = gf3.neg_perm(m)
-        self.rt = {
-            n: np.ascontiguousarray(rd.reshape(H, K).T) for n, rd in rd_by_name.items()
-        }
-        self.v2_rd = {n: rt.reshape(-1) for n, rt in self.rt.items()}  # RD(F, v2) by block column
-        self.v2_rd2 = {n: 2 * r for n, r in self.v2_rd.items()}
-        self.v2_rest = {n: self.target - r for n, r in self.v2_rd.items()}  # T - RD(F, v2)
-        lo = np.arange(K)
-        self.lo = _shift_tables(L, lo, self.neg[lo])
-        self.diag = lo * (K * H + H)  # flat block position of v2 = v1 in row lo1, less hi1
-        operands = {(n, "nsum") for n in FAMILY_NAMES} | {op for p in _MIXED_PAIRS for op in p[2:]}
-        self.ops = {op: np.empty((K, K * H), np.int32) for op in operands}
-        self.col = np.empty((K, H), np.int32)
-        self.x = np.empty((K, K * H), np.int32)
-        self.y = np.empty((K, K * H), np.int32)
-        self.hits = np.empty((K, K * H), bool)
-
-    def keys(self):
-        """Scan every pair; yield the scan-order keys of the hits of each
-        block that has any, as one ascending int64 array.
-
-        Scan order is fixed: v1 blocks ascending; within a block the 20
-        comparisons c of ``_COMPARISONS``; hits within one comparison in
-        row-major block order (lo1, lo2, hi2).  The hit at flat block
-        position j of comparison c in block hi1 has the key
-        (hi1*20 + c)*K*3^m + j, as laid out in :func:`_key_layout`.
-        """
-        K, H, T = self.K, self.H, self.target
-        x, y, hits = self.x, self.y, self.hits
-        for hi1 in range(H):
-            cols = _shift_tables(self.hi_digits, [hi1], [self.neg[hi1 * K] // K])
-            gathered: set[tuple[str, str]] = set()
-
-            def operand(name: str, kind: str) -> np.ndarray:
-                """RD(name, w) over the block, w = v1+v2, -(v1+v2), v1-v2 or v2-v1 by kind."""
-                buf = self.ops[name, kind]
-                if (name, kind) not in gathered:  # gathered next to its use, while in cache
-                    np.take(self.rt[name], cols[kind][0], axis=1, out=self.col, mode="clip")
-                    np.take(self.col, self.lo[kind], axis=0, out=buf.reshape(K, K, H), mode="clip")
-                    gathered.add((name, kind))
-                return buf
-
-            found = []
-
-            def emit(c: int) -> None:
-                if hits.any():
-                    found.append((hi1 * _COMPARISONS + c) * hits.size + np.flatnonzero(hits))
-
-            for i, name in enumerate(FAMILY_NAMES):
-                a3 = operand(name, "nsum")  # RD(F, v3) with v3 = -(v1 + v2)
-                # x = T - RD(F, v1) - RD(F, v2)
-                np.subtract(self.v2_rest[name], self.rt[name][:, hi1, None], out=x)
-                np.multiply(a3, -2, out=y)
-                np.equal(y, x, out=hits)  # triple-minus
-                hits.reshape(-1)[self.diag + hi1] = False  # v1 = v2 = v3 is degenerate
-                emit(2 * i)
-                np.equal(a3, x, out=hits)  # triple-plus
-                hits.reshape(-1)[self.diag + hi1] = False
-                emit(2 * i + 1)
-            for k, (f1, f2, sum_op, diff_op) in enumerate(_MIXED_PAIRS):
-                np.add(operand(*sum_op), operand(*diff_op), out=x)
-                a1 = self.rt[f1][:, hi1, None]
-                # (F1, F2) at (v1, v2): X - 2*RD(F1, v1) + RD(F2, v2) = T
-                np.add(x, self.v2_rd[f2], out=y)
-                np.equal(y, T + 2 * a1, out=hits)
-                emit(8 + 2 * k)
-                # (F2, F1) at (v2, v1): X - 2*RD(F2, v2) + RD(F1, v1) = T
-                np.subtract(x, self.v2_rd2[f2], out=y)
-                np.equal(y, T - a1, out=hits)
-                emit(9 + 2 * k)
-            if found:
-                yield np.concatenate(found)
 
 
 def _witness(m: int, key: int) -> SpectralWitness:
@@ -485,10 +384,11 @@ def _witness(m: int, key: int) -> SpectralWitness:
 
 
 def _sweep_checks(m: int, condition: str | None, key: int | None) -> int:
-    """Checks the sweep counts for ``condition`` (None: all three) up to and
-    including the hit ``key``, or over the whole sweep when ``key`` is None.
+    """Checks of the comparisons of ``condition`` (None: all three) in scan
+    order, up to and including the (block, comparison) of ``key``, or over
+    all pairs when ``key`` is None.
 
-    A block comparison counts K*3^m checks, less the K degenerate pairs
+    A (block, comparison) counts K*3^m checks, less the K degenerate pairs
     v1 = v2 for a triple comparison.
     """
     K, H, stride = _key_layout(m)
@@ -506,15 +406,16 @@ def _sweep_checks(m: int, condition: str | None, key: int | None) -> int:
 def _verdict(
     m: int, key_batches, exhaustive: bool, per_condition: bool, max_witnesses: int
 ) -> MinimalityVerdict:
-    """The verdict of the sweep whose hits have the scan-order keys in
-    ``key_batches`` (int64 arrays, in any order, repeats allowed).
+    """The verdict for the violations with the scan-order keys in
+    ``key_batches`` (int64 arrays, in any order, repeats allowed).  The
+    keys must hold every violation, or at least every one the mode reports.
 
     Default mode reports the smallest key, ``per_condition`` the smallest
     key of each condition, and ``exhaustive`` the ``max_witnesses``
     smallest unique keys.  The checks are those of a scan that stops at
     the comparison of the last reported witness (with ``per_condition``,
     that drops each condition at the comparison of its witness), and of
-    the whole sweep when nothing stops it: no violation, or fewer than
+    all pairs when nothing stops it: no violation, or fewer than
     ``max_witnesses`` in an exhaustive run.
     """
     _, _, stride = _key_layout(m)
@@ -554,29 +455,6 @@ def _check_cap(exhaustive: bool, max_witnesses: int) -> None:
         raise ValueError(f"max_witnesses must be at least 1, got {max_witnesses}")
 
 
-def spectral_sweep(
-    spec: CodeSpec,
-    *,
-    exhaustive: bool = False,
-    per_condition: bool = False,
-    max_witnesses: int = MAX_WITNESSES,
-) -> MinimalityVerdict:
-    """Evaluate the exact spectral criterion on every pair (v1, v2).
-
-    Every mode scans all pairs; the mode picks what is reported.  Default
-    mode reports the first violation in scan order, ``per_condition`` the
-    first of each of the three conditions, and ``exhaustive`` the first
-    ``max_witnesses``; the check count is the one a scan stopping at the
-    last reported witness would make.  One process, no budget: this is
-    the oracle the faster paths of :func:`spectral_check` are tested
-    against.
-    """
-    _check_cap(exhaustive, max_witnesses)
-    rd_by_name = {name: spec.spectra[name].rd for name in FAMILY_NAMES}
-    keys = _BlockKernel(spec.m, rd_by_name).keys()
-    return _verdict(spec.m, keys, exhaustive, per_condition, max_witnesses)
-
-
 # ---------------------------------------------------------------------------
 # Orbit pre-check for weight-symmetric spectra
 # ---------------------------------------------------------------------------
@@ -586,7 +464,7 @@ def orbit_violations(spec: CodeSpec) -> set[str] | None:
     """The conditions some (v1, v2) orbit violates, or None if the spectra
     are not all constant on Hamming-weight classes.
 
-    Evaluates the same three conditions as :func:`spectral_sweep`, once
+    Evaluates the 20 comparisons of :func:`_comparisons`, once
     per composition (n0, na, nb, nc, nd) of m (see the module docstring).
     """
     m = spec.m
@@ -675,7 +553,7 @@ def _line_keys(spec: CodeSpec, points: np.ndarray):
     once per argument, and the four lines share those reads.
 
     Yields (points done, keys) per batch, a hit of comparison c at (v1, v2)
-    keyed by its place in the sweep's scan order (see :func:`_key_layout`).
+    keyed by its place in the scan order (see :func:`_key_layout`).
     Keys are below 20*3^(2m) < 2^63 for m <= 16, and operand sums
     stay in int32 by the bound above ``_BLOCK_DIGITS``.  A pair on two
     lines yields its hits twice.
@@ -719,14 +597,14 @@ def spectral_check(
 ) -> MinimalityVerdict:
     """Evaluate the exact spectral minimality criterion.
 
-    Returns the verdict :func:`spectral_sweep` returns with the same
-    ``exhaustive``, ``per_condition`` and ``max_witnesses``, witnesses and
-    check count included (a clean sweep counts 20*3^(2m) - 8*3^m checks in
-    every mode).  When the orbit pre-check finds weight-symmetric spectra
-    and no violated orbit, the clean verdict is returned at once.
-    Otherwise the lines through the heavy points decide it in every mode,
-    on one process: the first violation, each condition's first violation,
-    or the first ``max_witnesses`` violations in the sweep's scan order.
+    Default mode reports the first violation in scan order (see the module
+    docstring), ``per_condition`` the first of each condition, and
+    ``exhaustive`` the first ``max_witnesses``; the check count is that of
+    a scan stopping at the comparison of the last one reported, and
+    20*3^(2m) - 8*3^m in every mode when none is.  When the orbit
+    pre-check finds weight-symmetric spectra and no violated orbit, the
+    clean verdict is returned at once.  Otherwise the lines through the
+    heavy points decide it in every mode, on one process.
     ``processes`` is ignored; the perfbench workloads still pass it.
     ``budget_seconds`` caps wall-clock time: a budget spent before the
     line scan raises :class:`CapacityError` with ``completed_fraction`` 0,

@@ -1,4 +1,4 @@
-"""Character-sum (Walsh) transforms of maps F_3^m -> F_3, exactly, in Z[zeta_3].
+"""Character-sum (Walsh) transforms of maps F_3^m -> F_3, exactly, as value counts.
 
 The transform of F at shift w is F_hat(w) = sum_x zeta^(F(x) - w.x), an
 element a + b*zeta of the ring Z[zeta_3] (zeta^2 = -1 - zeta).  The pair

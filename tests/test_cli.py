@@ -222,7 +222,7 @@ def test_minimality_rejects_nan_or_negative_budget(capsys, pair3, budget):
 
 @pytest.mark.parametrize("extra", [[], ["--exhaustive"]])
 def test_minimality_orbit_path_stdout_matches_sweep(capsys, tmp_path, monkeypatch, extra):
-    from conftest import shell_spec
+    from conftest import reference_verdict, shell_spec
     from terncode import minimality
 
     spec = shell_spec(5, 2, 4)  # weight-symmetric and minimal: certified by the orbit pre-check
@@ -234,10 +234,10 @@ def test_minimality_orbit_path_stdout_matches_sweep(capsys, tmp_path, monkeypatc
     orbit = run(capsys, *argv)
     assert orbit[0] == 0
 
-    def sweep(spec, exhaustive, **_):  # the sweep takes no budget
-        return minimality.spectral_sweep(spec, exhaustive=exhaustive)
+    def naive(spec, exhaustive, **_):  # the naive oracle takes no budget
+        return reference_verdict(spec, exhaustive=exhaustive)
 
-    monkeypatch.setattr(minimality, "spectral_check", sweep)
+    monkeypatch.setattr(minimality, "spectral_check", naive)
     assert run(capsys, *argv) == orbit
 
 
@@ -259,6 +259,30 @@ def test_minimality_exhaustive_notes_the_witness_cap(capsys, tmp_path, pair2):
     # fewer violations than the cap: the list is complete and no note is printed
     assert main(["minimality", "--f", pair2[0], "--g", pair2[1], "--exhaustive"]) == 1
     assert capsys.readouterr().err == ""
+
+
+def test_minimality_nonminimal_stdout_is_pinned(capsys, tmp_path, pair2):
+    # the witnesses and check counts follow the scan order of
+    # terncode.minimality, which these digests fix byte for byte
+    import numpy as np
+    from conftest import sparse_random_spec
+
+    spec = sparse_random_spec(6, np.random.default_rng(5))  # decided on the heavy lines
+    fp, gp = tmp_path / "f6.txt", tmp_path / "g6.txt"
+    fp.write_text(spec.f.to_text())
+    gp.write_text(spec.g.to_text())
+    runs = [
+        (["--method", "both", "--f", pair2[0], "--g", pair2[1]],
+         "2c041fa4c8753ec6e50f571811767c41ccf963d3ed03a4b211994d8aa574517e"),
+        (["--exhaustive", "--f", pair2[0], "--g", pair2[1]],
+         "bd6be728a799a168b7c6f694724d79de9e25e4ca96e60064e1f7287f3db3cafc"),
+        (["--f", str(fp), "--g", str(gp)],
+         "c1ad0200388463a3c392e74b2fe93953051a1d976436ec8b455a4a70e63e56a0"),
+    ]
+    for args, digest in runs:
+        rc, out = run(capsys, "minimality", *args)
+        assert rc == 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_minimality_oracle_capacity(capsys, tmp_path):

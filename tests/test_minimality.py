@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terncode import gf3, minimality
-from terncode.code import FAMILY_NAMES, all_codewords_matrix
+from terncode.code import all_codewords_matrix
 from terncode.errors import CapacityError, ConsistencyError
 from terncode.minimality import (
     ALL_CONDITIONS,
@@ -17,13 +17,14 @@ from terncode.minimality import (
     is_minimal_bruteforce,
     orbit_violations,
     spectral_check,
-    spectral_sweep,
 )
 from terncode.spectrum import TernaryFunction, combine
 
 from conftest import (
+    naive_violations,
     random_valid_spec,
     random_weight_symmetric_spec,
+    reference_verdict,
     scrambled_spec,
     shell_spec,
     sparse_random_spec,
@@ -309,101 +310,18 @@ def test_single_bump_witness_matches_sweep():
             continue
     verdict = spectral_check(spec)
     assert verdict.minimal is False
-    assert spectral_sweep(spec).witnesses == verdict.witnesses
+    assert reference_verdict(spec).witnesses == verdict.witnesses
     assert confirm_witness(spec, verdict.witnesses[0])
 
 
-def naive_violations(spec) -> set[tuple]:
-    """Every violation of the three spectral conditions, from full index tables."""
-    m = spec.m
-    total, target = gf3.pow3(m), 2 * gf3.pow3(m)
-    rows = np.arange(total)
-    i_add, i_sub = gf3.add_perm_rows(m, rows), gf3.sub_perm_rows(m, rows)
-    neg = gf3.neg_perm(m)
-    i_v3 = neg[i_add]
-    v1, v2 = np.indices((total, total))
-    rd = {name: spec.spectra[name].rd for name in FAMILY_NAMES}
-
-    def signed(key, idx):
-        name, sign = key
-        return rd[name][idx] if sign > 0 else rd[name][neg[idx]]
-
-    out = set()
-    for name in FAMILY_NAMES:
-        A = rd[name]
-        for cond, lhs in (("triple-minus", A[v1] + A[v2] - 2 * A[i_v3]),
-                          ("triple-plus", A[v1] + A[v2] + A[i_v3])):
-            for i, j in zip(*np.nonzero((lhs == target) & (v1 != v2))):
-                out.add((cond, (name,), (int(i), int(j), int(i_v3[i, j]))))
-    for f1, f2, sum_key, diff_key in PAIR_ALGEBRA:
-        S = signed(sum_key, i_add) + signed(diff_key, i_sub) - 2 * rd[f1][v1] + rd[f2][v2]
-        out |= {("mixed-pair", (f1, f2), (int(i), int(j))) for i, j in zip(*np.nonzero(S == target))}
-    return out
-
-
-def test_exhaustive_sweep_matches_naive_oracle():
-    rng = np.random.default_rng(4)
-    specs = [random_valid_spec(m, rng) for m in range(2, 6) for _ in range(3)]
-    for m in (4, 5):
-        for _ in range(3):
-            spec = random_weight_symmetric_spec(m, rng)
-            specs += [spec, scrambled_spec(spec, nonmonomial(m))]
-    specs.append(scrambled_spec(shell_spec(5, 2, 4), nonmonomial(5)))
-    # triple-plus holds at (v1, v2, v3) = (27, 0, 54): v2 has the low digits
-    # of v1, outside v1's block, so masking v2 = v1 must not drop it
-    specs.append(weight_symmetric_spec(4, [0, 0, 2, 0, 2], [0, 0, 2, 0, 1]))
-    seen = set()
-    for spec in specs:
-        verdict = spectral_sweep(spec, exhaustive=True, max_witnesses=10**9)
-        found = [(w.condition, w.functions, w.vectors) for w in verdict.witnesses]
-        assert len(set(found)) == len(found)
-        assert set(found) == naive_violations(spec)
-        for w in verdict.witnesses:
-            assert w.condition != "mixed-pair" or confirm_witness(spec, w)
-        seen |= {w.condition for w in verdict.witnesses if spec.m >= 4}
-    assert seen == {"triple-minus", "triple-plus", "mixed-pair"}
-
-
-def scan_position(m: int, violation: tuple) -> tuple[int, ...]:
-    """Where the sweep meets a violation: (v1 // K, c, v1 % K, v2 % K, v2 // K)
-    with K = 3^min(3, m), c its block comparison and (v1, v2) the pair the
-    comparison runs over (the swapped vectors for the (F2, F1) order)."""
-    K = 3 ** min(3, m)
-    condition, functions, vectors = violation
-    if condition != "mixed-pair":
-        c = 2 * FAMILY_NAMES.index(functions[0]) + (condition == "triple-plus")
-        v1, v2 = vectors[:2]
-    else:
-        pairs = [pair[:2] for pair in minimality._MIXED_PAIRS]
-        if functions in pairs:
-            c, (v1, v2) = 8 + 2 * pairs.index(functions), vectors
-        else:
-            c, (v2, v1) = 9 + 2 * pairs.index(functions[::-1]), vectors
-    return (v1 // K, c, v1 % K, v2 % K, v2 // K)
-
-
-def checks_up_to(m: int, stop: tuple | None, conditions) -> int:
-    """Checks of the comparisons of ``conditions`` that a sweep stopping at
-    scan position ``stop`` (None: not stopping) makes: K*3^m per
-    comparison, less the K pairs v1 = v2 for a triple comparison."""
-    K = 3 ** min(3, m)
-    total = 0
-    for block in range(3**m // K):
-        for c in range(20):
-            if stop is not None and (block, c) > stop[:2]:
-                return total
-            condition = ("triple-minus", "triple-plus")[c % 2] if c < 8 else "mixed-pair"
-            if condition in conditions:
-                total += K * 3**m - (K if c < 8 else 0)
-    return total
-
-
 def test_sweep_modes_follow_naive_scan_order():
+    # every mode of spectral_check against the naive violations in scan
+    # order, with exhaustive caps on both sides of the violation count
     rng = np.random.default_rng(71)
     specs = []
     for m in (2, 2, 3, 3):
         spec = random_valid_spec(m, rng)
-        while spectral_sweep(spec).minimal:
+        while not naive_violations(spec):
             spec = random_valid_spec(m, rng)
         specs.append(spec)
     specs += [sparse_random_spec(m, rng) for m in (4, 5)]
@@ -413,28 +331,13 @@ def test_sweep_modes_follow_naive_scan_order():
     specs += [spec, scrambled_spec(spec, nonmonomial(4))]
     seen = set()
     for spec in specs:
-        m = spec.m
-        order = sorted(naive_violations(spec), key=lambda v: scan_position(m, v))
-        assert order
-        seen |= {v[0] for v in order if m >= 4}
-
-        def swept(**mode):
-            verdict = spectral_sweep(spec, **mode)
-            return [(w.condition, w.functions, w.vectors) for w in verdict.witnesses], verdict.checks
-
-        assert swept() == (order[:1], checks_up_to(m, scan_position(m, order[0]), ALL_CONDITIONS))
-        firsts = {}
-        for v in order:
-            firsts.setdefault(v[0], v)
-        checks = sum(
-            checks_up_to(m, scan_position(m, firsts[cond]) if cond in firsts else None, {cond})
-            for cond in ALL_CONDITIONS
-        )
-        assert swept(per_condition=True) == (sorted(firsts.values(), key=lambda v: scan_position(m, v)), checks)
-        for cap in (1, 7, len(order), 10**9):
-            reported = order[:cap]
-            stop = scan_position(m, reported[-1]) if len(reported) == cap else None
-            assert swept(exhaustive=True, max_witnesses=cap) == (reported, checks_up_to(m, stop, ALL_CONDITIONS))
+        violations = naive_violations(spec)
+        seen |= {v[0] for v in violations if spec.m >= 4}
+        caps = (1, 7, len(violations), 10**9)
+        for mode in [{}, {"per_condition": True}, *({"exhaustive": True, "max_witnesses": cap} for cap in caps)]:
+            expected = reference_verdict(spec, **mode)
+            assert not expected.minimal
+            assert spectral_check(spec, **mode).to_json_obj() == expected.to_json_obj()
     assert seen == set(ALL_CONDITIONS)
 
 
@@ -450,12 +353,12 @@ def test_orbit_precheck_agrees_with_sweep():
     ]
     minimal = 0
     for spec in specs:
-        swept = spectral_sweep(spec, per_condition=True)
-        assert orbit_violations(spec) == {w.condition for w in swept.witnesses}
-        minimal += swept.minimal
+        reference = reference_verdict(spec, per_condition=True)
+        assert orbit_violations(spec) == {w.condition for w in reference.witnesses}
+        minimal += reference.minimal
         for mode in MODES:
-            # a clean sweep scans every pair, so it is the same in every mode
-            expected = swept if swept.minimal else spectral_sweep(spec, **mode)
+            # a clean verdict counts every pair, so it is the same in every mode
+            expected = reference if reference.minimal else reference_verdict(spec, **mode)
             assert spectral_check(spec, **mode).to_json_obj() == expected.to_json_obj()
     assert 2 < minimal < len(specs)
 
@@ -464,10 +367,10 @@ def test_orbit_precheck_agrees_with_sweep():
 def test_orbit_precheck_certifies_shell_codes(m):
     spec = shell_spec(m, 2, 4)
     assert orbit_violations(spec) == set()
-    swept = spectral_sweep(spec, per_condition=True).to_json_obj()
-    assert swept["minimal"] is True
+    expected = reference_verdict(spec, per_condition=True).to_json_obj()
+    assert expected["minimal"] is True
     for mode in MODES:
-        assert spectral_check(spec, **mode).to_json_obj() == swept
+        assert spectral_check(spec, **mode).to_json_obj() == expected
 
 
 @pytest.mark.parametrize("m", [5, 11])  # at m = 11 each line spans three segments of j
@@ -480,12 +383,12 @@ def test_scrambled_shell_is_not_weight_symmetric(m):
     assert spectral_check(scrambled).to_json_obj() == spectral_check(shell).to_json_obj()
 
 
-def heavy_line_violations(spec) -> list[tuple]:
-    """Every violation on the lines through the heavy points, in scan order."""
+def heavy_line_witnesses(spec) -> list:
+    """Every violation on the lines through the heavy points, as witnesses
+    in scan order."""
     batches = [keys for _, keys in minimality._line_keys(spec, minimality.heavy_points(spec))]
     keys = np.unique(np.concatenate([np.zeros(0, np.int64), *batches]))
-    witnesses = [minimality._witness(spec.m, key) for key in keys]
-    return [(w.condition, w.functions, w.vectors) for w in witnesses]
+    return [minimality._witness(spec.m, key) for key in keys]
 
 
 # 4 * 7 pairs: one point per batch, and its lines in segments of 7 values of j
@@ -502,15 +405,19 @@ def test_heavy_lines_match_naive_oracle(monkeypatch, line_batch):
             spec = random_weight_symmetric_spec(m, rng)
             specs += [spec, scrambled_spec(spec, nonmonomial(m))]
     specs += [scrambled_spec(shell_spec(m, 2, 4), nonmonomial(m)) for m in (5, 6)]
-    # triple-plus holds at (v1, v2, v3) = (27, 0, 54), off the sweep's v1 block
+    # triple-plus holds at (v1, v2, v3) = (27, 0, 54): v2 has the low digits
+    # of v1 but lies outside v1's block of the scan order
     specs.append(weight_symmetric_spec(4, [0, 0, 2, 0, 2], [0, 0, 2, 0, 1]))
     seen = set()
     for spec in specs:
         points = minimality.heavy_points(spec)
         assert np.array_equal(np.sort(gf3.neg_perm(spec.m)[points]), points)
-        found = heavy_line_violations(spec)
+        witnesses = heavy_line_witnesses(spec)
+        found = [(w.condition, w.functions, w.vectors) for w in witnesses]
         assert len(set(found)) == len(found)
         assert set(found) == naive_violations(spec)
+        if spec.m <= 5:
+            assert all(confirm_witness(spec, w) for w in witnesses)
         seen |= {cond for cond, _, _ in found if spec.m >= 4}
     assert seen == {"triple-minus", "triple-plus", "mixed-pair"}
 
@@ -531,33 +438,27 @@ def test_heavy_path_json_matches_sweep():
     for spec in [*specs, *minimal]:
         assert orbit_violations(spec) is None  # so spectral_check takes the heavy lines
         for mode in MODES:
-            swept = spectral_sweep(spec, **mode).to_json_obj()
-            assert swept["minimal"] is any(spec is s for s in minimal)
-            assert spectral_check(spec, **mode).to_json_obj() == swept
+            expected = reference_verdict(spec, **mode).to_json_obj()
+            assert expected["minimal"] is any(spec is s for s in minimal)
+            assert spectral_check(spec, **mode).to_json_obj() == expected
 
 
-def test_exhaustive_run_uses_the_line_keys(monkeypatch):
-    # 3,022 violations; the sweep stops counting at the comparison that
-    # holds its last reported witness, so the count must not depend on how
-    # the rows are split (the 2,375th violation lies past v1 = 485)
+def test_exhaustive_run_uses_the_line_keys():
+    # 3,022 violations; the count stops at the comparison in scan order that
+    # holds the last reported witness, so it must not depend on how the
+    # rows are split (the 2,375th violation lies past v1 = 485)
     spec = sparse_random_spec(6, np.random.default_rng(5))
     caps = (1, 7, 2374, 2375, 10**9)
-    swept = {cap: spectral_sweep(spec, exhaustive=True, max_witnesses=cap).to_json_obj() for cap in caps}
-    assert swept[2375]["checks"] == 7_101_648
-    assert len(swept[10**9]["witnesses"]) == 3022
-    assert swept[10**9]["checks"] == 20 * 3**12 - 8 * 3**6
-
-    def no_sweep(*args, **kwargs):
-        raise AssertionError("spectral_check ran the sweep")
-
-    monkeypatch.setattr(minimality, "spectral_sweep", no_sweep)
+    expected = {cap: reference_verdict(spec, exhaustive=True, max_witnesses=cap).to_json_obj() for cap in caps}
+    assert expected[2375]["checks"] == 7_101_648
+    assert len(expected[10**9]["witnesses"]) == 3022
+    assert expected[10**9]["checks"] == 20 * 3**12 - 8 * 3**6
     for cap in caps:
-        assert spectral_check(spec, exhaustive=True, max_witnesses=cap).to_json_obj() == swept[cap]
+        assert spectral_check(spec, exhaustive=True, max_witnesses=cap).to_json_obj() == expected[cap]
     for mode in MODES:
         assert not spectral_check(spec, **mode).minimal
-    for certify in (spectral_check, spectral_sweep):  # no witness list would read as minimal
-        with pytest.raises(ValueError):
-            certify(spec, exhaustive=True, max_witnesses=0)
+    with pytest.raises(ValueError):  # no witness list would read as minimal
+        spectral_check(spec, exhaustive=True, max_witnesses=0)
 
 
 def test_heavy_points_respect_parseval():
