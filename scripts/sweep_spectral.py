@@ -17,7 +17,8 @@ import argparse
 import time
 
 from terncode.errors import CapacityError
-from terncode.hwconstruct import admissible_params, build_spec, condition_report
+from terncode.hwconstruct import admissible_params, build_spec
+from terncode.minimality import ALL_CONDITIONS, spectral_check
 
 
 def main() -> int:
@@ -36,21 +37,19 @@ def main() -> int:
             t0 = time.time()
             spec = build_spec(p)
             try:
-                report = condition_report(p, spec=spec, budget_seconds=args.budget)
+                verdict = spectral_check(spec, per_condition=True, budget_seconds=args.budget)
             except CapacityError as exc:
                 print(f"(m={p.m}, k1={p.k1}, k2={p.k2}): BUDGET EXCEEDED "
                       f"({exc.completed_fraction:.1%} scanned)")
                 all_ok = False
                 continue
-            status = "minimal" if report["minimal"] else "NOT MINIMAL"
+            violated = {w.condition for w in verdict.witnesses}
+            conditions = ", ".join(f"{c} {'VIOLATED' if c in violated else 'ok'}" for c in ALL_CONDITIONS)
             print(
-                f"(m={p.m}, k1={p.k1}, k2={p.k2}): {status} "
-                f"[triple-minus {'ok' if report['triple_minus'] else 'VIOLATED'}, "
-                f"triple-plus {'ok' if report['triple_plus'] else 'VIOLATED'}, "
-                f"mixed-pair {'ok' if report['mixed_pair'] else 'VIOLATED'}] "
-                f"{report['checks']:,} checks in {time.time() - t0:.0f}s"
+                f"(m={p.m}, k1={p.k1}, k2={p.k2}): {'minimal' if verdict.minimal else 'NOT MINIMAL'} "
+                f"[{conditions}] {verdict.checks:,} checks in {time.time() - t0:.0f}s"
             )
-            all_ok = all_ok and report["minimal"]
+            all_ok = all_ok and verdict.minimal
     return 0 if all_ok else 1
 
 

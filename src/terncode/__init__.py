@@ -15,7 +15,7 @@ from .code import CodeSpec, CompleteWeightEnumerator, WeightDistribution, valida
 from .errors import CapacityError, ConsistencyError, ValidationError
 from .hwconstruct import HWParams, build_fg, build_spec
 from .minimality import MinimalityVerdict, ashikhmin_barg, is_minimal_bruteforce, spectral_check
-from .spectrum import CountSpectrum, TernaryFunction, transform
+from .spectrum import CountSpectrum, TernaryFunction
 
 __all__ = [
     "CapacityError",
@@ -33,7 +33,6 @@ __all__ = [
     "build_spec",
     "is_minimal_bruteforce",
     "spectral_check",
-    "transform",
     "validate",
 ]
 

@@ -66,7 +66,7 @@ def _cmd_kraw(args) -> int:
 
 def _cmd_spectrum(args) -> int:
     F = _load_function(args.f)
-    sp = spectrum.transform(F, method="naive" if args.naive else "fast")
+    sp = spectrum.fast_count_spectrum(F)
     classes = spectrum.spectrum_by_weight_class(sp)
     if args.format == "json":
         _print_json({"m": F.m, "classes": classes})
@@ -230,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spectrum", help="per-weight-class doubled real parts of a function's transform")
     p.add_argument("--f", required=True, help="function table path")
-    p.add_argument("--naive", action="store_true", help="use the direct-counting oracle path")
     add_format(p)
     p.set_defaults(handler=_cmd_spectrum)
 

@@ -308,31 +308,30 @@ def materialize(spec: CodeSpec, u: int, r: int, v: int) -> Codeword:
     return cw
 
 
-def all_codewords_matrix(spec: CodeSpec) -> tuple[np.ndarray, list[tuple[int, int, int]]]:
-    """All 3^(m+2) codewords as an int8 matrix plus their (u, r, v) labels.
+def codeword_rows(spec: CodeSpec, rows) -> np.ndarray:
+    """The codewords of the messages with base-3 indices ``rows``, as an int8 matrix.
 
-    Row i is the message with base-3 index i times the generator matrix, so
-    it holds c(u, r, v) for i = (3u + r)*3^m + v: (u, r) lexicographic, then
-    v ascending.  Row 0 is the zero word, and negating a word negates its
-    message, so -c sits at row ``gf3.neg_perm(m + 2)[i]``.  Small-m helper
-    for brute-force work (m <= 5).
+    Index (3u + r)*3^m + v is the message of c(u, r, v).  Index 0 is the
+    zero word, and negating a word negates its message, so -c has index
+    ``gf3.neg_perm(m + 2)[i]``.  Small-m helper for brute-force work
+    (m <= 5).
 
     The product is formed by blocks of the generator matrix G: the low m
     message digits give v.x = ``digits_table(m).T @ G[:m]`` (3^m rows) and
     the top two give r*g + u*f = ``digits_table(2).T @ G[m:]`` (9 rows), so
-    row (3u + r)*3^m + v is their sum mod 3, one broadcast add.
+    the word of index i is the sum mod 3 of row i // 3^m of the one and
+    row i % 3^m of the other.
     """
     m = spec.m
     if m > 5:
-        raise CapacityError(f"full codeword matrix supports m <= 5, got m={m}")
+        raise CapacityError(f"codeword rows support m <= 5, got m={m}")
+    rows = np.asarray(rows, dtype=np.int64)
     total = gf3.pow3(m)
     gen = _generator_matrix(spec)
-    low = gf3.digits_table(m).T @ gen[:m]
-    top = gf3.digits_table(2).T @ gen[m:]
-    words = (top[:, None] + low[None]).reshape(9 * total, -1)
+    words = (gf3.digits_table(2).T @ gen[m:])[rows // total]
+    words += (gf3.digits_table(m).T @ gen[:m])[rows % total]
     words %= 3
-    labels = [(u, r, v) for u in range(3) for r in range(3) for v in range(total)]
-    return words, labels
+    return words
 
 
 # ---------------------------------------------------------------------------

@@ -10,11 +10,10 @@ Bulk work uses dense numpy lookup tables.  Hamming weights
 (``add_perm_rows``, ``sub_perm_rows``) all come from one digit recursion,
 ``_stack_digits``: the table for k + 1 digits is three stacked copies of
 the table for k digits, so each costs O(3^m) per row and needs no digit
-table.  The (m, 3^m) int8 ``digits_table`` serves the small-m integer
-products -- ``dot_matrix`` (digits^T @ digits), ``TernaryFunction.linear``
-and the generator matrix of :mod:`terncode.code` -- and outside callers;
-no path that grows with m builds it.  The scalar helpers ``neg_index`` and
-``sub_index`` serve witnesses with integer digit arithmetic.
+table.  The (m, 3^m) int8 ``digits_table`` serves the small-m generator
+matrix of :mod:`terncode.code` and outside callers; no path that grows
+with m builds it.  The scalar helpers ``neg_index`` and ``sub_index``
+serve witnesses with integer digit arithmetic.
 """
 
 from __future__ import annotations
@@ -106,19 +105,6 @@ def add_perm_rows(m: int, rows: np.ndarray) -> np.ndarray:
 def sub_perm_rows(m: int, rows: np.ndarray) -> np.ndarray:
     """idx(v_r - v_j) for each r in ``rows`` and every j."""
     return _index_rows(m, rows, -1)
-
-
-@lru_cache(maxsize=8)
-def dot_matrix(m: int) -> np.ndarray:
-    """(3^m, 3^m) int8 matrix of v_i . v_j mod 3.  Small-m oracle helper only."""
-    check_dimension(m)
-    if m > 8:
-        raise CapacityError(f"dot_matrix is a small-m helper (m <= 8), got m={m}")
-    digits = digits_table(m)
-    out = digits.T @ digits  # int8: at most m*4 = 32
-    out %= 3
-    out.setflags(write=False)
-    return out
 
 
 # ---------------------------------------------------------------------------

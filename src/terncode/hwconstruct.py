@@ -37,7 +37,7 @@ from .code import (
     validate,
 )
 from .kraw import binomial, lloyd
-from .minimality import MinimalityVerdict, ashikhmin_barg, spectral_check
+from .minimality import ashikhmin_barg
 from .spectrum import TernaryFunction
 
 
@@ -203,29 +203,3 @@ def extremes_report(p: HWParams) -> ExtremesReport:
     ratio = 3 * wmin <= 4 * 3 ** (m - 1) + 2 ** (k2 + 1) * binomial(m - 1, k2) - 2**k1 * binomial(m - 1, k1 - 1)
     assert ratio == (3 * wmin <= 2 * wmax), "the two ratio predicates must agree"
     return ExtremesReport(wmin, wmax, ab, ratio)
-
-
-def condition_report(
-    p: HWParams,
-    *,
-    budget_seconds: float | None = None,
-    spec: CodeSpec | None = None,
-) -> dict:
-    """Per-condition pass/fail of the spectral criterion on the built code.
-
-    Runs :func:`spectral_check` once in per-condition mode: the built
-    spectra are weight-symmetric, so a code clean on all three conditions
-    is certified by the orbit pre-check, and a violated one on the
-    heavy-shift lines, on one process.
-    """
-    if spec is None:
-        spec = build_spec(p)
-    verdict: MinimalityVerdict = spectral_check(spec, per_condition=True, budget_seconds=budget_seconds)
-    violated = {w.condition for w in verdict.witnesses}
-    return {
-        "triple_minus": "triple-minus" not in violated,
-        "triple_plus": "triple-plus" not in violated,
-        "mixed_pair": "mixed-pair" not in violated,
-        "minimal": verdict.minimal,
-        "checks": verdict.checks,
-    }

@@ -2,12 +2,12 @@
 
 Two certifiers and one sufficient test:
 
-* ``is_minimal_bruteforce``: the definition itself.  Materializes every
-  codeword and decides all ordered support inclusions (m <= 5), once per
-  pair {c, -c}: the words a covers are those that vanish wherever a does,
-  the AND of the bitsets Z[x] of words with zero coordinate x over the
-  zero coordinates x of a, in uint64 words over the (3^(m+2) - 1)/2
-  representative rows.
+* ``is_minimal_bruteforce``: the definition itself.  Materializes one
+  codeword per pair {c, -c}, the (3^(m+2) - 1)/2 representative rows, and
+  decides all ordered support inclusions (m <= 5) once per such pair: the
+  words a covers are those that vanish wherever a does, the AND of the
+  bitsets Z[x] of words with zero coordinate x over the zero coordinates x
+  of a, in uint64 words over the representatives.
 * ``spectral_check``: the exact spectral criterion.  Up to scalar
   multiples, every codeword is s_v (a purely linear word) or F + s_v with
   F one of the four literal family members, and support covering between
@@ -88,7 +88,7 @@ from itertools import permutations
 import numpy as np
 
 from . import gf3
-from .code import FAMILY_NAMES, FAMILY_TO_UR, UR_TO_FAMILY, CodeSpec, all_codewords_matrix, materialize
+from .code import FAMILY_NAMES, FAMILY_TO_UR, UR_TO_FAMILY, CodeSpec, codeword_rows, materialize
 from .errors import CapacityError, ConsistencyError
 
 
@@ -260,15 +260,18 @@ def is_minimal_bruteforce(spec: CodeSpec, max_witnesses: int = 1) -> MinimalityV
     """
     if spec.m > BRUTEFORCE_MAX_M:
         raise CapacityError(f"brute-force oracle supports m <= {BRUTEFORCE_MAX_M}, got m={spec.m}")
-    words, labels = all_codewords_matrix(spec)
-    n_rows = len(labels)
+    total = gf3.pow3(spec.m)
+    n_rows = 9 * total
     negated = gf3.neg_perm(spec.m + 2)  # row of -c: the negated message; row 0 is the zero word
     reps = np.flatnonzero(np.arange(n_rows) < negated)
     rep_of = np.zeros(n_rows, np.int64)
     rep_of[reps] = rep_of[negated[reps]] = np.arange(len(reps))
-    zero = words[reps] == 0
-    del words  # freed before the scan, which needs only these zero coordinates
-    bitsets = _ZeroBitsets(zero)
+    bitsets = _ZeroBitsets(codeword_rows(spec, reps) == 0)
+
+    def params(row: int) -> tuple[int, int, int]:
+        """(u, r, v) of the message index (3u + r)*3^m + v."""
+        ur, v = divmod(row, total)
+        return (*divmod(ur, 3), v)
 
     covered: dict[int, np.ndarray] = {}  # representative -> the representatives it covers
     scanned = 0  # representatives decided so far
@@ -281,7 +284,7 @@ def is_minimal_bruteforce(spec: CodeSpec, max_witnesses: int = 1) -> MinimalityV
             continue
         b_reps = reps[covered[rep]]
         for b_row in np.sort(np.concatenate([b_reps, negated[b_reps]])).tolist():
-            witnesses.append(CoverWitness(labels[a_row], labels[b_row]))
+            witnesses.append(CoverWitness(params(a_row), params(b_row)))
             if len(witnesses) >= max_witnesses:
                 return MinimalityVerdict(False, "cover-oracle", witnesses, a_row * (n_rows - 3))
     return MinimalityVerdict(not witnesses, "cover-oracle", witnesses, (n_rows - 1) * (n_rows - 3))

@@ -1,35 +1,29 @@
 """Character-sum (Walsh) transforms of maps F_3^m -> F_3, exactly, as value counts.
 
-The transform of F at shift w is F_hat(w) = sum_x zeta^(F(x) - w.x), an
-element a + b*zeta of the ring Z[zeta_3] (zeta^2 = -1 - zeta).  The pair
-(a, b) is equivalent to the exact point counts
+The transform of F at shift w is F_hat(w) = sum_x zeta^(F(x) - w.x), with
+zeta a primitive cube root of unity.  It is determined by the exact point
+counts
 
-    N_lambda(w) = #{x in F_3^m : F(x) - w.x = lambda},
+    N_lambda(w) = #{x in F_3^m : F(x) - w.x = lambda},   N0 + N1 + N2 = 3^m.
 
-via a = N0 - N2, b = N1 - N2 and N0 + N1 + N2 = 3^m.  Downstream code
-consumes the counts N1, N2 (complete weight enumerators; N0 follows from
-them) and the doubled real part 2*Re(F_hat(w)) = 2a - b = 2*3^m - 3*(N1 + N2)
-(weights and minimality tests); doubling removes the half introduced by
-Re(zeta) = -1/2, so every comparison against 3^m becomes an exact integer
-comparison against 2*3^m.  A ``CountSpectrum`` stores N1, N2 and the
-doubled real part as int32 arrays; N0, a and b are derived on demand.
+Downstream code consumes the counts N1, N2 (complete weight enumerators;
+N0 follows from them) and the doubled real part 2*Re(F_hat(w)) =
+2*3^m - 3*(N1 + N2) (weights and minimality tests); doubling removes the
+half introduced by Re(zeta) = -1/2, so every comparison against 3^m becomes
+an exact integer comparison against 2*3^m.  A ``CountSpectrum`` stores N1,
+N2 and the doubled real part as int32 arrays; N0 is derived on demand.
 
-Two independent implementations are provided:
-
-* ``naive_count_spectrum``: direct evaluation of the defining counts per
-  shift (the oracle; m <= 8).
-* ``count_spectra``: a radix-3 decimation butterfly on the counts
-  themselves, O(m * 3^m) additions, integer-only, for several functions at
-  once (``fast_count_spectrum`` is its one-function form).  Each entry
-  holds (N1, N2) of the points gathered so far, so counts never pass
-  through Z[zeta_3].  Stage s runs in the narrowest unsigned dtype that
-  holds 3^s, from uint8 up; up to 2^17 entries, the members of a call
-  share each stage.  Read transposed, the table puts its low ceil(m/2)
-  digits on top, so their stages walk long contiguous runs; one
-  transposing copy restores the index order for the stages on the high
-  digits.  The last stage writes the int32 counts the spectra keep.
-
-The test suite requires the two to agree bit-exactly.
+``count_spectra`` computes the counts by a radix-3 decimation butterfly on
+the counts themselves, O(m * 3^m) additions, integer-only, for several
+functions at once (``fast_count_spectrum`` is its one-function form).  Each
+entry holds (N1, N2) of the points gathered so far.  Stage s runs in the
+narrowest unsigned dtype that holds 3^s, from uint8 up; up to 2^17
+entries, the members of a call share each stage.  Read transposed, the
+table puts its low ceil(m/2) digits on top, so their stages walk long
+contiguous runs; one transposing copy restores the index order for the
+stages on the high digits.  The last stage writes the int32 counts the
+spectra keep.  The test suite checks it bit-exactly against direct
+per-shift counting.
 """
 
 from __future__ import annotations
@@ -37,7 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import gf3
-from .errors import CapacityError, ConsistencyError
+from .errors import ConsistencyError
 
 
 # ---------------------------------------------------------------------------
@@ -66,18 +60,6 @@ class TernaryFunction:
         self.table = arr
 
     # -- constructors --------------------------------------------------
-
-    @classmethod
-    def zeros(cls, m: int) -> "TernaryFunction":
-        return cls(m, np.zeros(gf3.pow3(m), dtype=np.int8))
-
-    @classmethod
-    def linear(cls, m: int, w_index: int) -> "TernaryFunction":
-        """F(x) = w . x for the vector w with the given index."""
-        if not 0 <= w_index < gf3.pow3(m):
-            raise ValueError(f"functional index {w_index} out of range for m={m}")
-        digits = gf3.digits_table(m)
-        return cls(m, digits[:, w_index] @ digits % 3)
 
     @classmethod
     def random(cls, m: int, rng: np.random.Generator, zero_at_origin: bool = True) -> "TernaryFunction":
@@ -121,9 +103,6 @@ class TernaryFunction:
             and bool(np.array_equal(self.table, other.table))
         )
 
-    def __hash__(self):
-        return hash((self.m, self.table.tobytes()))
-
 
 def combine(u: int, r: int, f: TernaryFunction, g: TernaryFunction) -> TernaryFunction:
     """The pointwise combination (u*f + r*g) mod 3."""
@@ -148,8 +127,7 @@ class CountSpectrum:
 
     N1, N2 and the doubled real part are read-only int32 arrays (every
     count is at most 3^m, and |2*Re| <= 2*3^m).  N0 = 3^m - N1 - N2 is
-    derived, like the ring coordinates a and b; these come back as int64,
-    so callers may square them.
+    derived, and comes back as int64, so callers may square it.
     """
 
     __slots__ = ("m", "n1", "n2", "rd")
@@ -175,16 +153,6 @@ class CountSpectrum:
     def n0(self) -> np.ndarray:
         """N0 = 3^m - N1 - N2 per shift."""
         return gf3.pow3(self.m) - self.n1.astype(np.int64) - self.n2
-
-    @property
-    def a(self) -> np.ndarray:
-        """Z[zeta] coordinate a = N0 - N2 per shift."""
-        return self.n0 - self.n2
-
-    @property
-    def b(self) -> np.ndarray:
-        """Z[zeta] coordinate b = N1 - N2 per shift."""
-        return self.n1.astype(np.int64) - self.n2
 
 
 # ---------------------------------------------------------------------------
@@ -321,31 +289,6 @@ def count_spectra(members) -> list[CountSpectrum]:
 def fast_count_spectrum(F: TernaryFunction) -> CountSpectrum:
     """The count spectrum of one function: ``count_spectra([F])[0]``."""
     return count_spectra([F])[0]
-
-
-def naive_count_spectrum(F: TernaryFunction) -> CountSpectrum:
-    """Direct per-shift counting of F(x) - w.x values.  The small-m oracle."""
-    m = F.m
-    if m > 8:
-        raise CapacityError(f"naive transform is the small-m oracle (m <= 8), got m={m}")
-    dots = gf3.dot_matrix(m)  # dots[w, x] = w.x mod 3
-    vals = (F.table[None, :].astype(np.int16) - dots) % 3
-    return CountSpectrum(m, np.count_nonzero(vals == 1, axis=1), np.count_nonzero(vals == 2, axis=1))
-
-
-def transform(F: TernaryFunction, method: str = "fast") -> CountSpectrum:
-    if method == "fast":
-        return fast_count_spectrum(F)
-    if method == "naive":
-        return naive_count_spectrum(F)
-    raise ValueError(f"unknown transform method {method!r}")
-
-
-def parseval_sum(spectrum: CountSpectrum) -> int:
-    """sum_w |F_hat(w)|^2; equals 3^(2m) for every function."""
-    a = spectrum.a
-    b = spectrum.b
-    return int((a * a - a * b + b * b).sum())
 
 
 def spectrum_by_weight_class(spectrum: CountSpectrum) -> list[dict]:

@@ -1,4 +1,5 @@
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -6,10 +7,45 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from terncode import gf3, minimality
-from terncode.code import FAMILY_NAMES, CodeSpec, validate
-from terncode.errors import ValidationError
+from terncode.code import FAMILY_NAMES, CodeSpec, codeword_rows, validate
+from terncode.errors import CapacityError, ValidationError
 from terncode.minimality import ALL_CONDITIONS, MAX_WITNESSES, PAIR_ALGEBRA, MinimalityVerdict
-from terncode.spectrum import TernaryFunction
+from terncode.spectrum import CountSpectrum, TernaryFunction
+
+
+@lru_cache(maxsize=8)
+def dot_matrix(m: int) -> np.ndarray:
+    """(3^m, 3^m) int8 matrix of v_i . v_j mod 3.  Small-m oracle helper only."""
+    gf3.check_dimension(m)
+    if m > 8:
+        raise CapacityError(f"dot_matrix is a small-m helper (m <= 8), got m={m}")
+    digits = gf3.digits_table(m)
+    out = digits.T @ digits  # int8: at most m*4 = 32
+    out %= 3
+    out.setflags(write=False)
+    return out
+
+
+def naive_count_spectrum(F: TernaryFunction) -> CountSpectrum:
+    """Direct per-shift counting of F(x) - w.x values.  The small-m oracle."""
+    m = F.m
+    if m > 8:
+        raise CapacityError(f"naive transform is the small-m oracle (m <= 8), got m={m}")
+    dots = dot_matrix(m)  # dots[w, x] = w.x mod 3
+    vals = (F.table[None, :].astype(np.int16) - dots) % 3
+    return CountSpectrum(m, np.count_nonzero(vals == 1, axis=1), np.count_nonzero(vals == 2, axis=1))
+
+
+def parseval_sum(sp: CountSpectrum) -> int:
+    """sum_w |F_hat(w)|^2 from the counts: |F_hat(w)|^2 = N0^2 + N1^2 + N2^2 -
+    N0*N1 - N1*N2 - N2*N0.  Equals 3^(2m) for every function."""
+    n0, n1, n2 = sp.n0, sp.n1.astype(np.int64), sp.n2.astype(np.int64)
+    return int((n0 * n0 + n1 * n1 + n2 * n2 - n0 * n1 - n1 * n2 - n2 * n0).sum())
+
+
+def all_codewords(spec: CodeSpec) -> np.ndarray:
+    """All 3^(m+2) codewords, row (3u + r)*3^m + v holding c(u, r, v) (m <= 5)."""
+    return codeword_rows(spec, np.arange(9 * gf3.pow3(spec.m)))
 
 
 # Rejection samplers give up after this many draws.  At m = 1 every pair
@@ -88,7 +124,8 @@ def scrambled_spec(spec: CodeSpec, a: np.ndarray) -> CodeSpec:
 NAIVE_BLOCK_PAIRS = 2**18
 
 
-def naive_violations(spec) -> set[tuple]:
+@lru_cache(maxsize=8)  # a CodeSpec hashes by identity, and the cache keeps it alive
+def naive_violations(spec) -> frozenset[tuple]:
     """Every violation of the three spectral conditions, written out from
     their definition over all 3^(2m) pairs (v1, v2), in blocks of v1 rows.
 
@@ -129,7 +166,7 @@ def naive_violations(spec) -> set[tuple]:
             lhs = at[s, s_sign][0] + at[d, d_sign][1]
             lhs += rd[f2]
             out |= {("mixed-pair", (f1, f2), (i, j)) for i, j in hits(lhs == target + 2 * rd[f1][rows, None])}
-    return out
+    return frozenset(out)
 
 
 def scan_position(m: int, violation: tuple) -> tuple[int, ...]:

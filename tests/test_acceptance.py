@@ -21,7 +21,6 @@ from terncode.hwconstruct import (
     build_spec,
     closed_form_cwe,
     closed_form_weight_distribution,
-    condition_report,
     extremes_report,
 )
 from terncode.kraw import binomial, krawtchouk, lloyd
@@ -31,14 +30,9 @@ from terncode.minimality import (
     is_minimal_bruteforce,
     spectral_check,
 )
-from terncode.spectrum import (
-    TernaryFunction,
-    fast_count_spectrum,
-    naive_count_spectrum,
-    parseval_sum,
-)
+from terncode.spectrum import TernaryFunction, fast_count_spectrum
 
-from conftest import random_valid_spec, reference_verdict
+from conftest import dot_matrix, naive_count_spectrum, parseval_sum, random_valid_spec, reference_verdict
 
 
 def _report(n: int, ok: bool, detail: str) -> None:
@@ -125,7 +119,7 @@ def test_criterion_3_minimality_cross_oracle():
 
 @pytest.mark.slow
 def test_criterion_4_spectral_certification_at_full_scale():
-    # the naive oracle on all pairs, not the orbit pre-check that condition_report uses
+    # the naive oracle on all pairs, not the orbit pre-check that spectral_check takes
     t0 = time.time()
     p = HWParams(9, 2, 4)
     spec = build_spec(p)
@@ -147,7 +141,7 @@ def test_criterion_4_spectral_certification_at_full_scale():
     mixed_checks = 12 * gf3.pow3(9) ** 2  # 12 ordered pairs x 3^18 vector pairs
     assert report["checks"] == triple_checks + mixed_checks == 7748252316
     assert elapsed < 900.0
-    assert condition_report(p, spec=spec) == report
+    assert spectral_check(spec, per_condition=True).to_json_obj() == verdict.to_json_obj()
     _report(
         4, True,
         f"zero violations over {report['checks']:,} checks at (9, 2, 4); "
@@ -173,7 +167,7 @@ def test_criterion_5_krawtchouk_identity_suite():
     # character sums over Hamming spheres, exhaustive in Z[zeta_3], m <= 7
     for m in range(1, 8):
         weights = gf3.weights_table(m).astype(np.int64)
-        dots = gf3.dot_matrix(m)
+        dots = dot_matrix(m)
         for w in range(gf3.pow3(m)):
             counts = np.bincount(weights * 3 + dots[w], minlength=3 * (m + 1))
             for t in range(m + 1):

@@ -6,7 +6,7 @@ import pytest
 from terncode import gf3
 from terncode.code import (
     UR_TO_FAMILY,
-    all_codewords_matrix,
+    codeword_rows,
     cwe,
     cwe_csv,
     materialize,
@@ -19,7 +19,7 @@ from terncode.code import (
 from terncode.errors import CapacityError, ValidationError
 from terncode.spectrum import TernaryFunction, combine
 
-from conftest import random_valid_spec, scrambled_spec, shell_spec
+from conftest import all_codewords, dot_matrix, random_valid_spec, scrambled_spec, shell_spec
 
 
 def test_ur_family_table_is_the_function_algebra():
@@ -45,7 +45,7 @@ def test_validate_rejects_equal_functions():
 def test_validate_reports_the_first_member_in_family_order():
     # every member is transformed before any check: f's linear coincidence
     # still comes before f - g = 0
-    f = TernaryFunction.linear(3, 5)
+    f = TernaryFunction(3, dot_matrix(3)[5])  # the functional with index 5
     with pytest.raises(ValidationError) as exc:
         validate(3, f, f)
     assert (exc.value.function_name, exc.value.hypothesis, exc.value.witness) == ("f", "linear-coset-free", 5)
@@ -65,7 +65,7 @@ def test_validate_rejects_nonvanishing_origin():
 
 def test_validate_rejects_linear_coincidence():
     m = 2
-    f = TernaryFunction.linear(m, 4)
+    f = TernaryFunction(m, dot_matrix(m)[4])
     g_table = np.zeros(9, dtype=np.int8)
     g_table[1] = 1
     g_table[5] = 2
@@ -102,7 +102,7 @@ def test_materialize_examples():
 
 
 @pytest.mark.parametrize("build", [
-    lambda index: TernaryFunction.linear(2, index),
+    lambda index: weight_of(random_valid_spec(2, np.random.default_rng(3)), 1, 0, index),
     lambda index: materialize(random_valid_spec(2, np.random.default_rng(3)), 1, 0, index),
 ])
 @pytest.mark.parametrize("index", [-1, -9, 9, 10**6])
@@ -115,17 +115,20 @@ def test_codeword_matrix_rows_are_materialized_words():
     rng = np.random.default_rng(5)
     for m in (2, 3, 4, 5):
         spec = random_valid_spec(m, rng)
-        words, labels = all_codewords_matrix(spec)
+        words = all_codewords(spec)
         assert words.dtype == np.int8
-        assert labels == [(u, r, v) for u in range(3) for r in range(3) for v in range(gf3.pow3(m))]
+        labels = [(u, r, v) for u in range(3) for r in range(3) for v in range(gf3.pow3(m))]
+        assert len(words) == len(labels)
         for row, (u, r, v) in zip(words, labels):
             assert np.array_equal(row, materialize(spec, u, r, v).word)
+        picked = rng.permutation(len(labels))[:50]
+        assert np.array_equal(codeword_rows(spec, picked), words[picked])
 
 
 def test_codeword_matrix_capacity():
     spec = random_valid_spec(6, np.random.default_rng(4))
     with pytest.raises(CapacityError):
-        all_codewords_matrix(spec)
+        codeword_rows(spec, [0])
 
 
 def test_linearity_of_codewords_exhaustive():
@@ -133,8 +136,9 @@ def test_linearity_of_codewords_exhaustive():
     rng = np.random.default_rng(6)
     for m in (2, 3, 4):
         spec = random_valid_spec(m, rng)
-        words, labels = all_codewords_matrix(spec)
+        words = all_codewords(spec)
         total = gf3.pow3(m)
+        labels = [(u, r, v) for u in range(3) for r in range(3) for v in range(total)]
 
         def row_of(u, r, v):
             return (u * 3 + r) * total + v
@@ -155,7 +159,7 @@ def test_distribution_matches_materialization():
     for m, reps in ((2, 15), (3, 15), (4, 12), (5, 10)):
         for _ in range(reps):
             spec = random_valid_spec(m, rng)
-            words, _ = all_codewords_matrix(spec)
+            words = all_codewords(spec)
             direct: dict[int, int] = {}
             for w in np.count_nonzero(words, axis=1):
                 direct[int(w)] = direct.get(int(w), 0) + 1
@@ -174,7 +178,7 @@ def test_no_codeword_collisions():
     rng = np.random.default_rng(8)
     for m in (2, 3, 4, 5):
         spec = random_valid_spec(m, rng)
-        words, _ = all_codewords_matrix(spec)
+        words = all_codewords(spec)
         distinct = {w.tobytes() for w in words}
         assert len(distinct) == spec.codeword_count == 3 ** (m + 2)
     # m = 6 exhaustively via the spectra: weight 0 occurs once among all
@@ -199,7 +203,7 @@ def test_cwe_invariants_and_marginal():
 
 
 def _materialized_cwe(spec) -> dict[tuple[int, int, int], int]:
-    words, _ = all_codewords_matrix(spec)
+    words = all_codewords(spec)
     direct: dict[tuple[int, int, int], int] = {}
     for row in words:
         key = tuple(int(np.count_nonzero(row == lam)) for lam in range(3))

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 from terncode import gf3
 from terncode.code import cwe, weight_distribution
 from terncode.errors import CapacityError
-from terncode.hwconstruct import HWParams, build_spec, condition_report
+from terncode.hwconstruct import HWParams, build_spec
 from terncode.minimality import spectral_check
 
-from conftest import shell_spec, sparse_random_spec
+from conftest import dot_matrix, shell_spec, sparse_random_spec
 
 
 def test_dimension_cap():
@@ -21,7 +21,7 @@ def test_dimension_cap():
 
 def test_dot_symmetric_and_bilinear_exhaustive_m4():
     m = 4
-    D = gf3.dot_matrix(m).astype(np.int16)
+    D = dot_matrix(m).astype(np.int16)
     assert np.array_equal(D, D.T)
     # dot(a + b, c) = dot(a, c) + dot(b, c) for all a, b, c
     rows = np.arange(gf3.pow3(m))
@@ -66,9 +66,8 @@ def test_pipeline_builds_no_digits_table():
     """No path that grows with m builds the (m, 3^m) digits table, even from cold caches."""
     for table in (gf3.digits_table, gf3.weights_table, gf3.neg_perm):
         table.cache_clear()
-    p = HWParams(9, 2, 4)
-    spec = build_spec(p)
-    condition_report(p, spec=spec)
+    spec = build_spec(HWParams(9, 2, 4))
+    spectral_check(spec, per_condition=True)
     weight_distribution(spec)
     cwe(spec)
     for s in (shell_spec(8, 2, 4), sparse_random_spec(6, np.random.default_rng(5))):

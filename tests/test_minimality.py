@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terncode import gf3, minimality
-from terncode.code import all_codewords_matrix
 from terncode.errors import CapacityError, ConsistencyError
 from terncode.minimality import (
     ALL_CONDITIONS,
@@ -21,6 +20,7 @@ from terncode.minimality import (
 from terncode.spectrum import TernaryFunction, combine
 
 from conftest import (
+    all_codewords,
     naive_violations,
     random_valid_spec,
     random_weight_symmetric_spec,
@@ -140,7 +140,7 @@ def _label_scan(spec):
 
 def _shared_supports(spec) -> int:
     """The supports held by more than one pair {c, -c} of nonzero words."""
-    words, _ = all_codewords_matrix(spec)
+    words = all_codewords(spec)
     holders = Counter(tuple(np.flatnonzero(word)) for word in words[1:])
     return sum(count > 2 for count in holders.values())
 
@@ -167,9 +167,10 @@ def test_bruteforce_follows_the_label_double_loop(m):
 def _byte_major_scan(spec, max_witnesses: int):
     """The covering pairs and check count of a plain per-row scan: row a
     against every row b at once, on byte-packed supports."""
-    words, labels = all_codewords_matrix(spec)
+    words = all_codewords(spec)
     supports = np.ascontiguousarray(np.packbits(words != 0, axis=1).T)  # byte-major: reduce over rows
-    n_rows = len(labels)
+    n_rows = len(words)
+    labels = [(u, r, v) for u in range(3) for r in range(3) for v in range(3**spec.m)]
     negated = gf3.neg_perm(spec.m + 2)
     found, checks = [], 0
     for a_row in range(1, n_rows):
@@ -209,7 +210,8 @@ def test_simplex_subcode_alone_is_minimal():
     # the purely linear words: no covering among independent ones
     m = 3
     spec = random_valid_spec(m, np.random.default_rng(3))
-    words, labels = all_codewords_matrix(spec)
+    words = all_codewords(spec)
+    labels = [(u, r, v) for u in range(3) for r in range(3) for v in range(3**m)]
     linear_rows = [i for i, (u, r, v) in enumerate(labels) if (u, r) == (0, 0) and v != 0]
     for i in linear_rows:
         for j in linear_rows:
@@ -290,7 +292,7 @@ def test_verdict_flag_matches_witnesses(seed):
     assert v.minimal == (len(v.witnesses) == 0)
 
 
-def test_single_bump_witness_matches_sweep():
+def test_single_bump_witness_matches_naive_reference():
     # a single-bump f guarantees a covering violation (its weight-1 word
     # sits inside most linear words)
     import terncode.code as code_mod
@@ -314,7 +316,7 @@ def test_single_bump_witness_matches_sweep():
     assert confirm_witness(spec, verdict.witnesses[0])
 
 
-def test_sweep_modes_follow_naive_scan_order():
+def test_spectral_modes_follow_naive_scan_order():
     # every mode of spectral_check against the naive violations in scan
     # order, with exhaustive caps on both sides of the violation count
     rng = np.random.default_rng(71)
@@ -341,7 +343,7 @@ def test_sweep_modes_follow_naive_scan_order():
     assert seen == set(ALL_CONDITIONS)
 
 
-def test_orbit_precheck_agrees_with_sweep():
+def test_orbit_precheck_agrees_with_naive_reference():
     rng = np.random.default_rng(12)
     specs = [random_weight_symmetric_spec(m, rng) for m in range(2, 8) for _ in range(6 if m < 7 else 2)]
     # minimal pairs that an orbit check taking wt(v1-v2) as wt(v1+v2) would reject
@@ -422,7 +424,7 @@ def test_heavy_lines_match_naive_oracle(monkeypatch, line_batch):
     assert seen == {"triple-minus", "triple-plus", "mixed-pair"}
 
 
-def test_heavy_path_json_matches_sweep():
+def test_heavy_path_json_matches_naive_reference():
     rng = np.random.default_rng(67)
     specs = [random_valid_spec(3, rng) for _ in range(2)]
     specs += [sparse_random_spec(m, rng) for m in (4, 5, 6)]

@@ -3,16 +3,18 @@ import pytest
 
 from terncode import gf3, spectrum
 from terncode.errors import CapacityError, ConsistencyError
-from terncode.spectrum import (
-    CountSpectrum,
-    TernaryFunction,
-    combine,
-    count_spectra,
-    fast_count_spectrum,
-    naive_count_spectrum,
-    parseval_sum,
-    transform,
-)
+from terncode.spectrum import CountSpectrum, TernaryFunction, combine, count_spectra, fast_count_spectrum
+
+from conftest import dot_matrix, naive_count_spectrum, parseval_sum
+
+
+def _zeros(m):
+    return TernaryFunction(m, np.zeros(3**m, dtype=np.int8))
+
+
+def _linear(m, w):
+    """F(x) = w . x for the vector w with index w."""
+    return TernaryFunction(m, dot_matrix(m)[w])
 
 # ---------------------------------------------------------------------------
 # Function tables
@@ -53,7 +55,7 @@ def test_to_text_matches_per_trit_loop(m):
 def test_linear_function_values():
     m = 3
     for w in range(gf3.pow3(m)):
-        F = TernaryFunction.linear(m, w)
+        F = _linear(m, w)
         for x in (0, 1, 5, 13, 26):
             assert F.value(x) == sum((w // 3**k % 3) * (x // 3**k % 3) for k in range(m)) % 3
 
@@ -64,7 +66,7 @@ def test_linear_function_values():
 
 
 def test_zero_function_spectrum():
-    sp = fast_count_spectrum(TernaryFunction.zeros(2))
+    sp = fast_count_spectrum(_zeros(2))
     assert (sp.n0[0], sp.n1[0], sp.n2[0]) == (9, 0, 0)
     for w in range(1, 9):
         assert (sp.n0[w], sp.n1[w], sp.n2[w]) == (3, 3, 3)
@@ -75,7 +77,7 @@ def test_zero_function_spectrum():
 def test_linear_function_spectrum():
     for m in (1, 2, 3):
         for c in range(gf3.pow3(m)):
-            sp = fast_count_spectrum(TernaryFunction.linear(m, c))
+            sp = fast_count_spectrum(_linear(m, c))
             assert (sp.n0[c], sp.n1[c], sp.n2[c]) == (gf3.pow3(m), 0, 0)
 
 
@@ -104,7 +106,7 @@ def test_spectrum_arrays_are_read_only_int32():
         for arr in (sp.n1, sp.n2, sp.rd):
             assert arr.dtype == np.int32
             assert not arr.flags.writeable
-        assert sp.a.dtype == sp.b.dtype == sp.n0.dtype == np.int64
+        assert sp.n0.dtype == np.int64
 
 
 def _assert_same_spectrum(got, want):
@@ -173,23 +175,18 @@ def test_count_sum_guard_catches_one_wrong_count(monkeypatch):
 def test_zero_function_m12_hits_every_stage_bound():
     # every stage of the zero function's butterfly reaches |a| = 3^k at w = 0
     m = 12
-    sp = fast_count_spectrum(TernaryFunction.zeros(m))
+    sp = fast_count_spectrum(_zeros(m))
     assert sp.n0[0] == 3**m and sp.rd[0] == 2 * 3**m
     assert sp.n1[0] == sp.n2[0] == 0
     assert (sp.n1[1:] == 3 ** (m - 1)).all() and (sp.n2[1:] == 3 ** (m - 1)).all()
-    assert parseval_sum(sp) == 3 ** (2 * m)  # a(0)^2 = 3^24 wraps in int32
-
-
-def test_transform_method_switch():
-    F = TernaryFunction.zeros(2)
-    assert np.array_equal(transform(F, "fast").rd, transform(F, "naive").rd)
-    with pytest.raises(ValueError):
-        transform(F, "bogus")
+    assert parseval_sum(sp) == 3 ** (2 * m)  # N0(0)^2 = 3^24 wraps in int32
 
 
 def test_naive_capacity():
     with pytest.raises(CapacityError):
-        naive_count_spectrum(TernaryFunction.zeros(9))
+        naive_count_spectrum(_zeros(9))
+    with pytest.raises(CapacityError):
+        dot_matrix(9)
 
 
 def test_parseval_random():
@@ -216,10 +213,9 @@ def test_count_reconstruction_and_divisibility():
     F = TernaryFunction.random(4, rng)
     sp = fast_count_spectrum(F)
     assert np.array_equal(sp.n0 + sp.n1 + sp.n2, np.full(81, 81))
-    # transform value reconstructs the counts
-    assert np.array_equal(sp.a, sp.n0 - sp.n2)
-    assert np.array_equal(sp.b, sp.n1 - sp.n2)
-    assert np.all((gf3.pow3(4) - sp.a - sp.b) % 3 == 0)
+    # the doubled real part is 2a - b for F_hat = a + b*zeta, a = N0 - N2, b = N1 - N2
+    assert np.array_equal(sp.rd, 2 * (sp.n0 - sp.n2) - (sp.n1 - sp.n2))
+    assert np.all(sp.rd % 3 == 0)
     # N1, N2 >= 0 and N1 + N2 <= 3^m, so the derived N0 is a count too
     assert not CountSpectrum(2, np.full(9, 4), np.full(9, 5)).n0.any()
     for n1, n2 in ((-1, 0), (0, -1), (5, 5)):
@@ -234,8 +230,8 @@ def test_is_linear_coset_free():
     def linear_coset_free(F):
         return bool(np.all(fast_count_spectrum(F).rd != 2 * gf3.pow3(F.m)))
 
-    assert not linear_coset_free(TernaryFunction.linear(3, 1))  # a coordinate projection
-    assert not linear_coset_free(TernaryFunction.zeros(3))  # the zero functional
+    assert not linear_coset_free(_linear(3, 1))  # a coordinate projection
+    assert not linear_coset_free(_zeros(3))  # the zero functional
     table = np.zeros(27, dtype=np.int8)
     table[13] = 1  # a single bump cannot be linear
     assert linear_coset_free(TernaryFunction(3, table))
