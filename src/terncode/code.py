@@ -221,10 +221,15 @@ def weight_distribution(spec: CodeSpec) -> WeightDistribution:
     return dist
 
 
+# -3^m <= rd <= 2*3^m and 0 <= N1 <= 3^m, so the CWE key satisfies
+# |key| <= 2*3^m*(3^m + 1) < 2^63 at MAX_M: it is exact in int64.
+assert 2 * 3**gf3.MAX_M * (3**gf3.MAX_M + 1) < 2**63, "int64 CWE key overflows at MAX_M"
+
+
 def cwe(spec: CodeSpec) -> CompleteWeightEnumerator:
     """Complete weight enumerator aggregated from the four spectra.
 
-    One in-place sort of 1-D (N1, N2) keys per family member, counted by
+    One in-place sort of 1-D keys in (rd, N1) per family member, counted by
     runs; each distinct count pair gives the sign +1 term and, with N1/N2
     swapped, the sign -1 term.
     """
@@ -233,8 +238,9 @@ def cwe(spec: CodeSpec) -> CompleteWeightEnumerator:
     terms: dict[tuple[int, int, int], int] = {(total - 1, 0, 0): 1}
     simplex = (3 ** (m - 1) - 1, 3 ** (m - 1), 3 ** (m - 1))
     terms[simplex] = terms.get(simplex, 0) + total - 1
-    # N1, N2 <= 3^m, so key = N1*(3^m + 1) + N2 < (3^m + 1)^2 <= 1.9e15 < 2^63
-    # for m <= MAX_M = 16.  t0 is implied: N0 = 3^m - N1 - N2 (derived; the
+    # key = -rd*(3^m + 1) + N1 is one-to-one in (N1, N2), since 0 <= N1 <= 3^m
+    # and N1 + N2 = (2*3^m - rd)/3; it decodes as rd = -(key // (3^m + 1)),
+    # N1 = key % (3^m + 1).  t0 is implied: N0 = 3^m - N1 - N2 (the
     # CountSpectrum checks N1 + N2 <= 3^m), less the x = 0 coordinate, always
     # of value 0.
     base = total + 1
@@ -245,13 +251,14 @@ def cwe(spec: CodeSpec) -> CompleteWeightEnumerator:
     run_start[0] = True
     for name in FAMILY_NAMES:
         sp = spec.spectra[name]
-        np.multiply(sp.n1, base, out=keys, dtype=np.int64)
-        keys += sp.n2
+        np.multiply(sp.rd, -base, out=keys, dtype=np.int64)
+        keys += sp.n1
         keys.sort()
         np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
         starts = np.flatnonzero(run_start)
         counts = np.diff(starts, append=total)
-        n1, n2 = np.divmod(keys[starts], base)
+        neg_rd, n1 = np.divmod(keys[starts], base)
+        n2 = (2 * total + neg_rd) // 3 - n1
         for t1, t2, c in zip(n1.tolist(), n2.tolist(), counts.tolist()):
             t0 = total - 1 - t1 - t2
             for key in ((t0, t1, t2), (t0, t2, t1)):

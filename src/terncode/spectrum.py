@@ -10,8 +10,9 @@ Downstream code consumes the counts N1, N2 (complete weight enumerators;
 N0 follows from them) and the doubled real part 2*Re(F_hat(w)) =
 2*3^m - 3*(N1 + N2) (weights and minimality tests); doubling removes the
 half introduced by Re(zeta) = -1/2, so every comparison against 3^m becomes
-an exact integer comparison against 2*3^m.  A ``CountSpectrum`` stores N1,
-N2 and the doubled real part as int32 arrays; N0 is derived on demand.
+an exact integer comparison against 2*3^m.  A ``CountSpectrum`` stores two
+int32 arrays, N1 and the doubled real part; N2 and N0 are derived on
+demand.
 
 ``count_spectra`` computes the counts by a radix-3 decimation butterfly on
 the counts themselves, O(m * 3^m) additions, integer-only, for several
@@ -21,12 +22,18 @@ narrowest unsigned dtype that holds 3^s, from uint8 up; up to 2^17
 entries, the members of a call share each stage.  Read transposed, the
 table puts its low ceil(m/2) digits on top, so their stages walk long
 contiguous runs; one transposing copy restores the index order for the
-stages on the high digits.  The last stage writes the int32 counts the
-spectra keep.  The test suite checks it bit-exactly against direct
-per-shift counting.
+stages on the high digits.  The last stage writes the int32 counts, and
+the doubled real part is then written over the N2 row.  A call with more
+members than one butterfly holds (m >= 10 for the four family members)
+runs its butterflies on min(2, usable CPUs, butterflies) threads, each
+with its own workspace.  The test suite checks it bit-exactly against
+direct per-shift counting.
 """
 
 from __future__ import annotations
+
+import os
+import threading
 
 import numpy as np
 
@@ -125,34 +132,55 @@ assert 3 ** (gf3.MAX_M + 1) < 2**31, "int32 doubled real part overflows at MAX_M
 class CountSpectrum:
     """Exact per-shift value counts N1, N2 of F(x) - w.x over F_3^m.
 
-    N1, N2 and the doubled real part are read-only int32 arrays (every
-    count is at most 3^m, and |2*Re| <= 2*3^m).  N0 = 3^m - N1 - N2 is
-    derived, and comes back as int64, so callers may square it.
+    Two read-only int32 arrays are kept: N1 and the doubled real part rd
+    (every count is at most 3^m, and |rd| <= 2*3^m).  N2 = (2*3^m - rd)/3 -
+    N1 is derived as a fresh read-only int32 array on each read, and N0 =
+    3^m - N1 - N2 as int64, so callers may square it.
     """
 
-    __slots__ = ("m", "n1", "n2", "rd")
+    __slots__ = ("m", "n1", "rd")
 
     def __init__(self, m: int, n1, n2):
+        # n2 is copied, since rd is written over it
+        self._keep(m, np.asarray(n1, dtype=np.int32), np.array(n2, dtype=np.int32))
+
+    @classmethod
+    def _over_n2(cls, m: int, n1: np.ndarray, n2: np.ndarray) -> "CountSpectrum":
+        """The spectrum of the int32 rows (N1, N2), writing rd over ``n2``."""
+        sp = cls.__new__(cls)
+        sp._keep(m, n1, n2)
+        return sp
+
+    def _keep(self, m: int, n1: np.ndarray, rd: np.ndarray) -> None:
         total = gf3.pow3(m)
-        n1 = np.asarray(n1, dtype=np.int32)
-        n2 = np.asarray(n2, dtype=np.int32)
-        if not (n1.shape == n2.shape == (total,)):
+        if not (n1.shape == rd.shape == (total,)):
             raise ValueError("count arrays must each have 3^m entries")
-        rd = n1 + n2
-        if n1.min() < 0 or n2.min() < 0 or rd.max() > total:
-            raise ConsistencyError("count out of range: N1 or N2 negative, or N1 + N2 > 3^m")
-        rd *= -3  # 2*Re(F_hat(w)) = 2*3^m - 3*(N1 + N2), in place
+        if n1.min() < 0 or rd.min() < 0:
+            raise ConsistencyError("count out of range: N1 or N2 negative")
+        rd += n1  # N1 + N2, in place over N2
+        if rd.max() > total:
+            raise ConsistencyError("count out of range: N1 + N2 > 3^m")
+        rd *= -3  # 2*Re(F_hat(w)) = 2*3^m - 3*(N1 + N2)
         rd += 2 * total
-        for arr in (n1, n2, rd):
-            arr.setflags(write=False)
+        n1.setflags(write=False)
+        rd.setflags(write=False)
         self.m = m
-        self.n1, self.n2 = n1, n2
+        self.n1 = n1
         self.rd = rd  # doubled real part 2*Re(F_hat(w)) per shift
 
     @property
+    def n2(self) -> np.ndarray:
+        """N2 = (2*3^m - rd)/3 - N1 per shift."""
+        n2 = np.subtract(2 * gf3.pow3(self.m), self.rd)  # 3*(N1 + N2), int32
+        n2 //= 3
+        n2 -= self.n1
+        n2.setflags(write=False)
+        return n2
+
+    @property
     def n0(self) -> np.ndarray:
-        """N0 = 3^m - N1 - N2 per shift."""
-        return gf3.pow3(self.m) - self.n1.astype(np.int64) - self.n2
+        """N0 = 3^m - N1 - N2 = (3^m + rd)/3 per shift."""
+        return (gf3.pow3(self.m) + self.rd.astype(np.int64)) // 3
 
 
 # ---------------------------------------------------------------------------
@@ -226,6 +254,14 @@ def _leading(buf: np.ndarray, dtype, shape: tuple) -> np.ndarray:
     return buf.reshape(-1).view(np.uint8)[:size].view(dtype).reshape(shape)
 
 
+def _thread_count(batches: int) -> int:
+    """Threads for ``batches`` butterflies: min(2, usable CPUs, batches)."""
+    if batches < 2:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(2, cpus, batches)
+
+
 def count_spectra(members) -> list[CountSpectrum]:
     """Count spectra of functions on one F_3^m by a count-domain butterfly.
 
@@ -237,9 +273,14 @@ def count_spectra(members) -> list[CountSpectrum]:
     its low L = ceil(m/2) and high m - L digits.  The point counts are laid
     out transposed, so the stages on the low digits walk contiguous runs of
     at least 3^(m-L) entries; one transposing copy restores the index order
-    for the high digits (see ``_plan``).  The steps alternate between one
-    workspace, allocated per call, and the batch's fresh int32 output, so
-    the last stage lands in the output, which only the spectra keep.
+    for the high digits (see ``_plan``).  The steps alternate between a
+    workspace and the batch's fresh int32 output, so the last stage lands
+    in the output, which only the spectra keep.
+
+    Two or more batches run on ``_thread_count`` threads, the caller and at
+    most one helper, each with its own workspace and taking every other
+    batch.  The spectra come back in member order, and the first failing
+    member's exception is raised in the caller after the helper has ended.
 
     A count that breaks sum_w N_lambda(w) = 3^(m-1)*(3^m - 1) +
     3^m*[F(0) = lambda] (lambda = 1, 2) raises ``ConsistencyError``.  The
@@ -250,39 +291,73 @@ def count_spectra(members) -> list[CountSpectrum]:
     m = members[0].m
     if any(F.m != m for F in members):
         raise ValueError("count_spectra needs functions of one dimension")
-    n, L = gf3.pow3(m), (m + 1) // 2
-    lo, hi = gf3.pow3(L), gf3.pow3(m - L)
+    n = gf3.pow3(m)
     steps = _plan(m)
     per = max(1, min(4, _BATCH_ENTRIES // n))
     wide = max((np.dtype(dtype).itemsize for _, dtype in steps[:-1]), default=1)
-    work = np.empty(per * 2 * n * wide, np.uint8)
+    batches = [members[start : start + per] for start in range(0, len(members), per)]
+    threads = _thread_count(len(batches))
+    # every large array is allocated by the caller: blocks a helper thread
+    # allocates stay in its own malloc arena, and repeated calls then raise
+    # the peak RSS
+    works = [np.empty(per * 2 * n * wide, np.uint8) for _ in range(threads)]
+    outs = [np.empty((len(batch), 2, n), np.int32) for batch in batches]
+    if threads == 1:
+        return [sp for batch, out in zip(batches, outs) for sp in _butterfly(batch, out, works[0], steps)]
+    results: list = [None] * len(batches)
+    errors: list = [None] * len(batches)
+
+    def run(k: int) -> None:
+        for i in range(k, len(batches), threads):
+            try:
+                results[i] = _butterfly(batches[i], outs[i], works[k], steps)
+            except Exception as exc:
+                errors[i] = exc
+                return
+
+    helper = threading.Thread(target=run, args=(1,))
+    helper.start()
+    try:
+        run(0)
+    finally:
+        helper.join()
+    # each thread stops at its first failure, so the first error in batch
+    # order is the one a sequential run would raise
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return [sp for batch in results for sp in batch]
+
+
+def _butterfly(batch: list, out: np.ndarray, work: np.ndarray, steps: list[tuple]) -> list[CountSpectrum]:
+    """The spectra of one batch, by the butterfly from ``work`` into ``out`` (see ``count_spectra``)."""
+    m = batch[0].m
+    n, L = gf3.pow3(m), (m + 1) // 2
+    lo, hi = gf3.pow3(L), gf3.pow3(m - L)
     base = 3 ** (m - 1) * (n - 1)
+    shape = out.shape
+    bufs = (work, out) if len(steps) % 2 else (out, work)
+    x = _leading(bufs[0], np.uint8, shape)
+    tables = np.stack([F.table for F in batch]).reshape(len(batch), hi, lo)
+    tables = np.ascontiguousarray(tables.transpose(0, 2, 1))  # faster than two strided reads
+    for row, value in enumerate((1, 2)):
+        np.equal(tables, value, out=x[:, row].reshape(tables.shape).view(np.bool_))
+    total = 1
+    for i, (p, dtype) in enumerate(steps, 1):
+        y = _leading(bufs[i % 2], dtype, shape)
+        if p is None:
+            np.copyto(y.reshape(-1, hi, lo), x.reshape(-1, lo, hi).transpose(0, 2, 1))
+        else:
+            _stage(x, y, p, total)
+            total *= 3
+        x = y
     spectra = []
-    for start in range(0, len(members), per):
-        batch = members[start : start + per]
-        shape = (len(batch), 2, n)
-        out = np.empty(shape, np.int32)
-        bufs = (work, out) if len(steps) % 2 else (out, work)
-        x = _leading(bufs[0], np.uint8, shape)
-        tables = np.stack([F.table for F in batch]).reshape(len(batch), hi, lo)
-        tables = np.ascontiguousarray(tables.transpose(0, 2, 1))  # faster than two strided reads
-        for row, value in enumerate((1, 2)):
-            np.equal(tables, value, out=x[:, row].reshape(tables.shape).view(np.bool_))
-        total = 1
-        for i, (p, dtype) in enumerate(steps, 1):
-            y = _leading(bufs[i % 2], dtype, shape)
-            if p is None:
-                np.copyto(y.reshape(-1, hi, lo), x.reshape(-1, lo, hi).transpose(0, 2, 1))
-            else:
-                _stage(x, y, p, total)
-                total *= 3
-            x = y
-        for F, counts, sums in zip(batch, out, x.sum(axis=2, dtype=np.uint32).tolist()):
-            if sums != [(base + n * (int(F.table[0]) == value)) % 2**32 for value in (1, 2)]:
-                raise ConsistencyError(
-                    "count spectrum breaks sum_w N_lambda(w) = 3^(m-1)*(3^m - 1) + 3^m*[F(0) = lambda]"
-                )
-            spectra.append(CountSpectrum(m, counts[0], counts[1]))
+    for F, counts, sums in zip(batch, out, x.sum(axis=2, dtype=np.uint32).tolist()):
+        if sums != [(base + n * (int(F.table[0]) == value)) % 2**32 for value in (1, 2)]:
+            raise ConsistencyError(
+                "count spectrum breaks sum_w N_lambda(w) = 3^(m-1)*(3^m - 1) + 3^m*[F(0) = lambda]"
+            )
+        spectra.append(CountSpectrum._over_n2(m, counts[0], counts[1]))
     return spectra
 
 

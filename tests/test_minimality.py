@@ -118,7 +118,9 @@ def _label_scan(spec):
     """Every covering pair of the code, as (a label, b label, nonzero a labels scanned).
 
     A plain double loop over the labels (u, r, v) in the order of the index
-    (3u + r)*3^m + v, with words written out from their definition.
+    (3u + r)*3^m + v, with words written out from their definition and
+    their supports held as Python int bit masks: a covers b exactly when
+    no bit of b's mask lies outside a's.
     """
     m, n = spec.m, 3**spec.m
     digits = lambda i: np.array([(i // 3**k) % 3 for k in range(m)])
@@ -126,14 +128,16 @@ def _label_scan(spec):
     f, g = spec.f.table[1:].astype(int), spec.g.table[1:].astype(int)
     labels = [(u, r, v) for u in range(3) for r in range(3) for v in range(n)]
     words = {(u, r, v): (u * f + r * g + x_digits @ digits(v)) % 3 for u, r, v in labels}
+    mask = {label: int("".join("1" if t else "0" for t in word.tolist()), 2) for label, word in words.items()}
     negate = lambda u, r, v: (-u % 3, -r % 3, int((-digits(v) % 3) @ 3 ** np.arange(m)))
     found, scanned = [], 0
     for a in labels:
         if a == (0, 0, 0):
             continue
         scanned += 1
+        skip, outside = ((0, 0, 0), a, negate(*a)), ~mask[a]
         for b in labels:
-            if b not in ((0, 0, 0), a, negate(*a)) and covers(words[a], words[b]):
+            if b not in skip and mask[b] & outside == 0:
                 found.append((a, b, scanned))
     return found
 

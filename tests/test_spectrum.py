@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,96 @@ def test_count_sum_guard_catches_one_wrong_count(monkeypatch):
     F = TernaryFunction.random(m, np.random.default_rng(21))
     with pytest.raises(ConsistencyError, match=r"breaks sum_w N_lambda\(w\)"):
         fast_count_spectrum(F)
+
+
+def _threads(monkeypatch, count):
+    monkeypatch.setattr(spectrum, "_thread_count", lambda batches: min(count, batches))
+
+
+def _record_threads(monkeypatch):
+    """Wrap ``_butterfly`` to record the thread that runs each batch."""
+    butterfly, seen = spectrum._butterfly, []
+
+    def record(batch, out, work, steps):
+        seen.append(threading.get_ident())
+        return butterfly(batch, out, work, steps)
+
+    monkeypatch.setattr(spectrum, "_butterfly", record)
+    return seen
+
+
+@pytest.mark.parametrize("m", [10, 11])
+@pytest.mark.parametrize("count", [4, 5])
+def test_two_threads_match_one(monkeypatch, m, count):
+    # m = 10 holds two members per batch, m = 11 one; five members leave
+    # the last batch partial at m = 10
+    rng = np.random.default_rng(70 + m)
+    members = [TernaryFunction.random(m, rng, zero_at_origin=False) for _ in range(count)]
+    _threads(monkeypatch, 1)
+    one = count_spectra(members)
+    _threads(monkeypatch, 2)
+    seen = _record_threads(monkeypatch)
+    two = count_spectra(members)
+    assert len(set(seen)) == 2
+    assert len(one) == len(two) == count
+    for a, b in zip(one, two):
+        for arr_a, arr_b in ((a.n1, b.n1), (a.n2, b.n2), (a.rd, b.rd)):
+            assert arr_a.dtype == arr_b.dtype == np.int32
+            assert not arr_a.flags.writeable and not arr_b.flags.writeable
+            assert np.array_equal(arr_a, arr_b)
+
+
+def test_helper_thread_failure_raises_in_caller(monkeypatch):
+    # m = 10: the caller runs the batch of members 0 and 1, the helper that
+    # of members 2 and 3, whose member 2 gets one N1 count too many
+    m = 10
+    stage = spectrum._stage
+
+    def corrupt(x, y, p, total):
+        stage(x, y, p, total)
+        if total == 3 ** (m - 1) and threading.current_thread() is not threading.main_thread():
+            y[0, 0, 5] += 1
+
+    _threads(monkeypatch, 2)
+    monkeypatch.setattr(spectrum, "_stage", corrupt)
+    rng = np.random.default_rng(22)
+    members = [TernaryFunction.random(m, rng) for _ in range(4)]
+    before = threading.active_count()
+    with pytest.raises(ConsistencyError, match=r"breaks sum_w N_lambda\(w\)"):
+        count_spectra(members)
+    assert threading.active_count() == before
+
+
+def test_first_failing_member_wins(monkeypatch):
+    # m = 11, one member per batch: the caller runs 0 and 2, the helper 1
+    # and 3; 1 fails first in member order (the helper then skips 3), so
+    # its error is raised, not that of 2
+    m = 11
+    rng = np.random.default_rng(23)
+    members = [TernaryFunction.random(m, rng) for _ in range(4)]
+    butterfly = spectrum._butterfly
+
+    def fail(batch, out, work, steps):
+        i = next(i for i, F in enumerate(members) if F is batch[0])
+        if i > 0:
+            raise ConsistencyError(f"member {i}")
+        return butterfly(batch, out, work, steps)
+
+    _threads(monkeypatch, 2)
+    monkeypatch.setattr(spectrum, "_butterfly", fail)
+    with pytest.raises(ConsistencyError, match="^member 1$"):
+        count_spectra(members)
+
+
+def test_one_cpu_starts_no_thread(monkeypatch):
+    m = 11
+    rng = np.random.default_rng(24)
+    members = [TernaryFunction.random(m, rng) for _ in range(4)]
+    monkeypatch.setattr(spectrum.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    seen = _record_threads(monkeypatch)
+    assert spectrum._thread_count(4) == 1
+    assert len(count_spectra(members)) == 4
+    assert set(seen) == {threading.get_ident()}
 
 
 def test_zero_function_m12_hits_every_stage_bound():
