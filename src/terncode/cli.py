@@ -96,8 +96,7 @@ def _emit_distribution(args, m: int, wd=None, enum=None) -> None:
             for w, c in wd.sorted_items():
                 print(f"  weight {w}: {c}")
         if enum is not None:
-            for (t0, t1, t2), c in enum.sorted_items():
-                print(f"  w0^{t0} w1^{t1} w2^{t2}: {c}")
+            sys.stdout.writelines(f"  w0^{t0} w1^{t1} w2^{t2}: {c}\n" for t0, t1, t2, c in zip(*enum.columns()))
 
 
 def _cmd_construct(args) -> int:

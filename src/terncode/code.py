@@ -29,12 +29,19 @@ multiset of (N0, N1, N2)(w) over all w.  Hence each family member is
 aggregated once, with no shift permutation: its multiset of rd values
 counts twice in the weight distribution (signs +1 and -1), and each of
 its (N0 - 1, N1, N2) terms enters the CWE once as is (sign +1) and once
-with N1/N2 swapped (sign -1).  Either enumerator costs about one sort of
-3^m integer keys per member.
+with N1/N2 swapped (sign -1).  Either enumerator sorts 3^m integer keys
+per member, then merges the distinct values of all four members with one
+sort and one ``np.add.reduceat``.  The merge costs little when the spectra
+take few values (a weight-symmetric pair such as a shell code) and about
+half the time when they take many (a random pair).  A complete weight
+enumerator is kept as two arrays, its distinct exponent triples in
+lexicographic order and their multiplicities.
 """
 
 from __future__ import annotations
 
+import bisect
+from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 
 import numpy as np
@@ -174,46 +181,143 @@ class WeightDistribution:
         return isinstance(other, WeightDistribution) and self.entries == other.entries
 
 
-@dataclass(frozen=True)
-class CompleteWeightEnumerator:
-    """Multiset of exponent triples (t0, t1, t2) with multiplicities."""
+class _Terms(Mapping):
+    """Read-only mapping (t0, t1, t2) -> multiplicity over the arrays of a
+    ``CompleteWeightEnumerator``; lookups bisect the sorted rows."""
 
-    terms: dict[tuple[int, int, int], int]
+    __slots__ = ("_exponents", "_counts")
+
+    def __init__(self, exponents: np.ndarray, counts: np.ndarray):
+        self._exponents = exponents
+        self._counts = counts
+
+    def __len__(self) -> int:
+        return self._counts.size
+
+    def __iter__(self):
+        return map(tuple, self._exponents.tolist())
+
+    def __getitem__(self, key) -> int:
+        i = bisect.bisect_left(self._exponents, key, key=lambda row: tuple(row.tolist()))
+        if i == self._counts.size or tuple(self._exponents[i].tolist()) != key:
+            raise KeyError(key)
+        return int(self._counts[i])
+
+    def items(self):
+        return _TermItems(self)
+
+    def values(self):
+        return _TermValues(self)
+
+
+class _TermItems(ItemsView):
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._counts.tolist())
+
+
+class _TermValues(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._counts.tolist())
+
+
+class CompleteWeightEnumerator:
+    """Multiset of exponent triples (t0, t1, t2) with multiplicities.
+
+    Two read-only int64 arrays hold it: ``exponents``, the distinct triples
+    as rows in lexicographic order, and ``counts``, their multiplicities.
+    ``terms`` is a read-only mapping view (t0, t1, t2) -> multiplicity over
+    them.  The constructor takes such a mapping (the closed forms build a
+    dict); ``cwe`` builds the arrays directly.
+    """
+
+    __slots__ = ("exponents", "counts")
+    __hash__ = None
+
+    def __init__(self, terms: Mapping[tuple[int, int, int], int]):
+        items = sorted(terms.items())
+        self._keep(np.array([t for t, _ in items], np.int64).reshape(-1, 3),
+                   np.array([c for _, c in items], np.int64))
+
+    @classmethod
+    def _from_sorted(cls, exponents: np.ndarray, counts: np.ndarray) -> "CompleteWeightEnumerator":
+        """The enumerator of distinct rows ``exponents``, already in lexicographic order."""
+        enum = cls.__new__(cls)
+        enum._keep(exponents, counts)
+        return enum
+
+    def _keep(self, exponents: np.ndarray, counts: np.ndarray) -> None:
+        exponents.setflags(write=False)
+        counts.setflags(write=False)
+        self.exponents = exponents
+        self.counts = counts
+
+    @property
+    def terms(self) -> Mapping[tuple[int, int, int], int]:
+        return _Terms(self.exponents, self.counts)
 
     def total(self) -> int:
-        return sum(self.terms.values())
+        return int(self.counts.sum())
 
     def sorted_items(self) -> list[tuple[tuple[int, int, int], int]]:
-        return sorted(self.terms.items())
+        return list(zip(map(tuple, self.exponents.tolist()), self.counts.tolist()))
+
+    def columns(self) -> tuple[list[int], list[int], list[int], list[int]]:
+        """The lists of t0, t1, t2 and multiplicity, term by term in lexicographic order."""
+        return (*self.exponents.T.tolist(), self.counts.tolist())
 
     def weight_marginal(self) -> WeightDistribution:
-        entries: dict[int, int] = {}
-        for (t0, t1, t2), mult in self.terms.items():
-            w = t1 + t2
-            entries[w] = entries.get(w, 0) + mult
-        return WeightDistribution(entries)
+        weights, counts = _merge(self.exponents[:, 1] + self.exponents[:, 2], self.counts)
+        return WeightDistribution(dict(zip(weights.tolist(), counts.tolist())))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, CompleteWeightEnumerator) and self.terms == other.terms
+        return (
+            isinstance(other, CompleteWeightEnumerator)
+            and np.array_equal(self.exponents, other.exponents)
+            and np.array_equal(self.counts, other.counts)
+        )
+
+
+def _runs(keys: np.ndarray) -> np.ndarray:
+    """The bounds b of the runs of equal values in the sorted ``keys``: run i is keys[b[i]:b[i + 1]]."""
+    edge = np.empty(keys.size + 1, bool)
+    edge[0] = edge[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=edge[1:-1])
+    return np.flatnonzero(edge)
+
+
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of the sorted ``keys``, each with its number of occurrences."""
+    bounds = _runs(keys)
+    return keys[bounds[:-1]], bounds[1:] - bounds[:-1]
+
+
+def _merge(keys: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct ``keys`` ascending, each with the sum of its ``counts``."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = _runs(keys)[:-1]
+    return keys[starts], np.add.reduceat(counts[order], starts)
 
 
 def weight_distribution(spec: CodeSpec) -> WeightDistribution:
     """Aggregate weights over all (u, r, v) from the four spectra.
 
-    One ``unique`` of rd per family member, counted once per sign.
+    One sort of rd per family member, counted once per sign, then one
+    merge of the four with the zero word and the 3^m - 1 simplex words.
     """
     m = spec.m
     total = gf3.pow3(m)
-    entries: dict[int, int] = {0: 1}
-    entries[2 * 3 ** (m - 1)] = entries.get(2 * 3 ** (m - 1), 0) + total - 1
+    simplex = 2 * 3 ** (m - 1)
+    # the zero word and the 3^m - 1 simplex words (u = r = 0, v != 0)
+    weights, counts = [np.int64([0, simplex])], [np.int64([1, total - 1])]
     for name in FAMILY_NAMES:
-        values, counts = np.unique(spec.spectra[name].rd, return_counts=True)
+        values, c = _distinct(np.sort(spec.spectra[name].rd))
         if (values % 3).any():
             raise ConsistencyError("doubled real part not divisible by 3")
-        for value, c in zip(values.tolist(), counts.tolist()):
-            w = 2 * 3 ** (m - 1) - value // 3
-            entries[w] = entries.get(w, 0) + 2 * c
-    dist = WeightDistribution(entries)
+        weights.append(simplex - values.astype(np.int64) // 3)
+        counts.append(2 * c)
+    weights, counts = _merge(np.concatenate(weights), np.concatenate(counts))
+    dist = WeightDistribution(dict(zip(weights.tolist(), counts.tolist())))
     if dist.total() != spec.codeword_count:
         raise ConsistencyError("weight distribution does not cover 3^(m+2) codewords")
     if dist.entries.get(0) != 1:
@@ -221,54 +325,61 @@ def weight_distribution(spec: CodeSpec) -> WeightDistribution:
     return dist
 
 
-# -3^m <= rd <= 2*3^m and 0 <= N1 <= 3^m, so the CWE key satisfies
+# -3^m <= rd <= 2*3^m and 0 <= N1 <= 3^m, so the member key satisfies
 # |key| <= 2*3^m*(3^m + 1) < 2^63 at MAX_M: it is exact in int64.
 assert 2 * 3**gf3.MAX_M * (3**gf3.MAX_M + 1) < 2**63, "int64 CWE key overflows at MAX_M"
+# 0 <= t0, t1 <= 3^m - 1, so the merge key t0*3^m + t1 < 3^(2m) < 2^63 at MAX_M.
+assert 3 ** (2 * gf3.MAX_M) < 2**63, "int64 CWE merge key overflows at MAX_M"
+
+
+def _member_terms(sp: CountSpectrum, total: int) -> tuple[np.ndarray, ...]:
+    """The distinct (t0, N1, N2) of one spectrum, t0 = N0 - 1, with their multiplicities.
+
+    The key -rd*(3^m + 1) + N1 is one-to-one in (N1, N2), since
+    0 <= N1 <= 3^m and N1 + N2 = (2*3^m - rd)/3; it decodes as
+    rd = -(key // (3^m + 1)), N1 = key % (3^m + 1).  N0 = (3^m + rd)/3, less
+    the x = 0 coordinate, always of value 0.
+    """
+    base = total + 1
+    keys = np.multiply(sp.rd, -base, dtype=np.int64)
+    keys += sp.n1
+    keys.sort()
+    keys, counts = _distinct(keys)
+    neg_rd, n1 = np.divmod(keys, base)
+    return (total - neg_rd) // 3 - 1, n1, (2 * total + neg_rd) // 3 - n1, counts
 
 
 def cwe(spec: CodeSpec) -> CompleteWeightEnumerator:
     """Complete weight enumerator aggregated from the four spectra.
 
     One in-place sort of 1-D keys in (rd, N1) per family member, counted by
-    runs; each distinct count pair gives the sign +1 term and, with N1/N2
-    swapped, the sign -1 term.
+    runs; each distinct count pair gives the sign +1 term (t0, N1, N2) and,
+    with N1/N2 swapped, the sign -1 term.  The eight signed term sets and
+    the two fixed terms (the zero word and the 3^m - 1 simplex words) are
+    then merged by one sort of the int64 key t0*3^m + t1, whose order is the
+    lexicographic order of (t0, t1, t2), and one ``np.add.reduceat``.
     """
     m = spec.m
     total = gf3.pow3(m)
-    terms: dict[tuple[int, int, int], int] = {(total - 1, 0, 0): 1}
-    simplex = (3 ** (m - 1) - 1, 3 ** (m - 1), 3 ** (m - 1))
-    terms[simplex] = terms.get(simplex, 0) + total - 1
-    # key = -rd*(3^m + 1) + N1 is one-to-one in (N1, N2), since 0 <= N1 <= 3^m
-    # and N1 + N2 = (2*3^m - rd)/3; it decodes as rd = -(key // (3^m + 1)),
-    # N1 = key % (3^m + 1).  t0 is implied: N0 = 3^m - N1 - N2 (the
-    # CountSpectrum checks N1 + N2 <= 3^m), less the x = 0 coordinate, always
-    # of value 0.
-    base = total + 1
-    # one int64 key buffer and one run-start mask serve all four members;
-    # the keys are built and sorted in place
-    keys = np.empty(total, np.int64)
-    run_start = np.empty(total, bool)
-    run_start[0] = True
+    third = 3 ** (m - 1)
+    # the keys of the zero word and of the 3^m - 1 simplex words (u = r = 0, v != 0)
+    keys = [np.int64([total - 1, third - 1]) * total + [0, third]]
+    counts = [np.int64([1, total - 1])]
     for name in FAMILY_NAMES:
-        sp = spec.spectra[name]
-        np.multiply(sp.rd, -base, out=keys, dtype=np.int64)
-        keys += sp.n1
-        keys.sort()
-        np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
-        starts = np.flatnonzero(run_start)
-        counts = np.diff(starts, append=total)
-        neg_rd, n1 = np.divmod(keys[starts], base)
-        n2 = (2 * total + neg_rd) // 3 - n1
-        for t1, t2, c in zip(n1.tolist(), n2.tolist(), counts.tolist()):
-            t0 = total - 1 - t1 - t2
-            for key in ((t0, t1, t2), (t0, t2, t1)):
-                terms[key] = terms.get(key, 0) + c
-    result = CompleteWeightEnumerator(terms)
-    if result.total() != spec.codeword_count:
+        t0, n1, n2, c = _member_terms(spec.spectra[name], total)
+        if min(t0.min(), n1.min(), n2.min()) < 0:
+            raise ConsistencyError("CWE exponent triple is negative")
+        if (t0 + n1 + n2 != total - 1).any():
+            raise ConsistencyError("CWE exponent triple does not sum to 3^m - 1")
+        t0 *= total
+        keys += [t0 + n1, t0 + n2]  # signs +1 and -1
+        counts += [c, c]
+    counts = np.concatenate(counts)
+    if counts.sum() != spec.codeword_count:
         raise ConsistencyError("CWE multiplicities do not cover 3^(m+2) codewords")
-    if any(min(t) < 0 or sum(t) != total - 1 for t in terms):
-        raise ConsistencyError("CWE exponent triple is negative or does not sum to 3^m - 1")
-    return result
+    keys, counts = _merge(np.concatenate(keys), counts)
+    t0, t1 = np.divmod(keys, total)
+    return CompleteWeightEnumerator._from_sorted(np.column_stack((t0, t1, total - 1 - t0 - t1)), counts)
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +467,7 @@ def result_json_obj(
     if weights is not None:
         obj["weights"] = [[w, c] for w, c in weights.sorted_items()]
     if cwe_terms is not None:
-        obj["cwe"] = [[t0, t1, t2, c] for (t0, t1, t2), c in cwe_terms.sorted_items()]
+        obj["cwe"] = np.column_stack((cwe_terms.exponents, cwe_terms.counts)).tolist()
     return obj
 
 
@@ -368,5 +479,5 @@ def weights_csv(weights: WeightDistribution) -> str:
 
 def cwe_csv(cwe_terms: CompleteWeightEnumerator) -> str:
     lines = ["t0,t1,t2,count"]
-    lines.extend(f"{t0},{t1},{t2},{c}" for (t0, t1, t2), c in cwe_terms.sorted_items())
+    lines.extend(f"{t0},{t1},{t2},{c}" for t0, t1, t2, c in zip(*cwe_terms.columns()))
     return "\n".join(lines) + "\n"

@@ -157,6 +157,9 @@ class CountSpectrum:
             raise ValueError("count arrays must each have 3^m entries")
         if n1.min() < 0 or rd.min() < 0:
             raise ConsistencyError("count out of range: N1 or N2 negative")
+        # each count at most 3^m, so their int32 sum cannot wrap
+        if n1.max() > total or rd.max() > total:
+            raise ConsistencyError("count out of range: N1 or N2 > 3^m")
         rd += n1  # N1 + N2, in place over N2
         if rd.max() > total:
             raise ConsistencyError("count out of range: N1 + N2 > 3^m")

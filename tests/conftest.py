@@ -120,6 +120,51 @@ def scrambled_spec(spec: CodeSpec, a: np.ndarray) -> CodeSpec:
     return validate(m, TernaryFunction(m, spec.f.table[perm]), TernaryFunction(m, spec.g.table[perm]))
 
 
+def dict_cwe_terms(spec: CodeSpec) -> dict[tuple[int, int, int], int]:
+    """The CWE terms merged one term at a time into a dict, from the same
+    per-member run counts as ``code.cwe``.  The reference for its array merge."""
+    m = spec.m
+    total = gf3.pow3(m)
+    terms: dict[tuple[int, int, int], int] = {(total - 1, 0, 0): 1}
+    simplex = (3 ** (m - 1) - 1, 3 ** (m - 1), 3 ** (m - 1))
+    terms[simplex] = terms.get(simplex, 0) + total - 1
+    # key = -rd*(3^m + 1) + N1 is one-to-one in (N1, N2), since 0 <= N1 <= 3^m
+    # and N1 + N2 = (2*3^m - rd)/3; it decodes as rd = -(key // (3^m + 1)),
+    # N1 = key % (3^m + 1).  t0 is implied: N0 = 3^m - N1 - N2 (the
+    # CountSpectrum checks N1 + N2 <= 3^m), less the x = 0 coordinate, always
+    # of value 0.
+    base = total + 1
+    # one int64 key buffer and one run-start mask serve all four members;
+    # the keys are built and sorted in place
+    keys = np.empty(total, np.int64)
+    run_start = np.empty(total, bool)
+    run_start[0] = True
+    for name in FAMILY_NAMES:
+        sp = spec.spectra[name]
+        np.multiply(sp.rd, -base, out=keys, dtype=np.int64)
+        keys += sp.n1
+        keys.sort()
+        np.not_equal(keys[1:], keys[:-1], out=run_start[1:])
+        starts = np.flatnonzero(run_start)
+        counts = np.diff(starts, append=total)
+        neg_rd, n1 = np.divmod(keys[starts], base)
+        n2 = (2 * total + neg_rd) // 3 - n1
+        for t1, t2, c in zip(n1.tolist(), n2.tolist(), counts.tolist()):
+            t0 = total - 1 - t1 - t2
+            for key in ((t0, t1, t2), (t0, t2, t1)):
+                terms[key] = terms.get(key, 0) + c
+    return terms
+
+
+def dict_weight_marginal(terms: dict[tuple[int, int, int], int]) -> dict[int, int]:
+    """Weight -> multiplicity of CWE ``terms``, summed one term at a time."""
+    entries: dict[int, int] = {}
+    for (t0, t1, t2), mult in terms.items():
+        w = t1 + t2
+        entries[w] = entries.get(w, 0) + mult
+    return entries
+
+
 # pairs (v1, v2) per block of the naive spectral oracle
 NAIVE_BLOCK_PAIRS = 2**18
 

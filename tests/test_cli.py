@@ -150,6 +150,32 @@ def test_enumerator_stdout_matches_closed_form_and_pinned_bytes(capsys, tmp_path
                 assert hashlib.sha256(out.encode()).hexdigest() == ENUM_JSON_SHA256[(m, cmd)]
 
 
+# sha256 of the stdout of `weights`/`cwe` on the random valid m = 6 pair of
+# seed 0 (2,160 CWE terms), pinned from the per-term dict merge
+RANDOM6_SHA256 = {
+    ("weights", "json"): "30e80386e2dd70057c05b3e71afee930d6aa26ebdc0d1b65303506b469ef7467",
+    ("weights", "csv"): "ba02fd38237ed084286b4cb20ce23d5a9fb379660553d6427e3e86c9a5a66a75",
+    ("weights", "text"): "6f3563818fa4bd7bc847138785668b0d8449d5418bdf9b12aa5a4da54f0ec495",
+    ("cwe", "json"): "080f648928c0e6acf9f51ca5e5d00128c7be5c564d26ea44b5bf26cd74967cc2",
+    ("cwe", "csv"): "50d833f61736994e4c6abd86639da604a2e57ccd34e47f06db8196a0d3044af1",
+    ("cwe", "text"): "115756d84a249de8fa0bf0f58770b955708d7eb2ed2687c140a539be3192ead0",
+}
+
+
+def test_enumerator_stdout_on_a_random_pair_is_pinned(capsys, tmp_path):
+    import numpy as np
+    from conftest import random_valid_spec
+
+    spec = random_valid_spec(6, np.random.default_rng(0))
+    fp, gp = tmp_path / "f6.txt", tmp_path / "g6.txt"
+    fp.write_text(spec.f.to_text())
+    gp.write_text(spec.g.to_text())
+    for (cmd, fmt), digest in RANDOM6_SHA256.items():
+        rc, out = run(capsys, cmd, "--f", str(fp), "--g", str(gp), "--format", fmt)
+        assert rc == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_m_mismatch_is_domain_error(capsys, pair3):
     fpath, gpath = pair3
     rc, out = run(capsys, "weights", "--m", "4", "--f", fpath, "--g", gpath)

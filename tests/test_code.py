@@ -6,6 +6,8 @@ import pytest
 from terncode import gf3
 from terncode.code import (
     UR_TO_FAMILY,
+    CodeSpec,
+    CompleteWeightEnumerator,
     codeword_rows,
     cwe,
     cwe_csv,
@@ -16,10 +18,20 @@ from terncode.code import (
     weight_of,
     weights_csv,
 )
-from terncode.errors import CapacityError, ValidationError
-from terncode.spectrum import TernaryFunction, combine
+from terncode.errors import CapacityError, ConsistencyError, ValidationError
+from terncode.spectrum import CountSpectrum, TernaryFunction, combine, fast_count_spectrum
 
-from conftest import all_codewords, dot_matrix, random_valid_spec, scrambled_spec, shell_spec
+from conftest import (
+    all_codewords,
+    dict_cwe_terms,
+    dict_weight_marginal,
+    dot_matrix,
+    random_valid_spec,
+    random_weight_symmetric_spec,
+    scrambled_spec,
+    shell_spec,
+    sparse_random_spec,
+)
 
 
 def test_ur_family_table_is_the_function_algebra():
@@ -233,6 +245,99 @@ def test_enumerators_match_materialization_on_scrambled_shell(m):
     for (_t0, t1, t2), c in direct.items():
         weights[t1 + t2] = weights.get(t1 + t2, 0) + c
     assert weight_distribution(spec).entries == weights
+
+
+def _unitriangular(m):
+    """An invertible m x m matrix over F_3 that is not monomial (m >= 2)."""
+    a = np.eye(m, dtype=np.int64)
+    a[np.arange(m - 1), np.arange(1, m)] = 1
+    return a
+
+
+CWE_PAIRS = {
+    "random": lambda m, rng: random_valid_spec(m, rng),
+    "sparse": lambda m, rng: sparse_random_spec(m, rng),
+    "weight-symmetric": lambda m, rng: random_weight_symmetric_spec(m, rng),
+    "shell": lambda m, rng: shell_spec(m, 2, 4),
+    "scrambled": lambda m, rng: scrambled_spec(shell_spec(m, 2, 4), _unitriangular(m)),
+}
+
+
+def _assert_cwe_matches_dict_merge(spec):
+    enum = cwe(spec)
+    ref = dict_cwe_terms(spec)
+    assert enum.terms == ref
+    assert len(enum.terms) == len(ref)
+    assert enum.sorted_items() == sorted(ref.items())
+    assert enum.weight_marginal().entries == dict_weight_marginal(ref)
+    assert enum.weight_marginal() == weight_distribution(spec)
+
+
+@pytest.mark.parametrize("kind", CWE_PAIRS)
+@pytest.mark.parametrize("m", range(2, 10))
+def test_cwe_matches_the_dict_merge(m, kind):
+    _assert_cwe_matches_dict_merge(CWE_PAIRS[kind](m, np.random.default_rng(100 + m)))
+
+
+def test_cwe_matches_the_dict_merge_at_m10():
+    _assert_cwe_matches_dict_merge(random_valid_spec(10, np.random.default_rng(110)))
+
+
+def test_terms_view_reads_like_a_dict():
+    spec = random_valid_spec(4, np.random.default_rng(12))
+    enum, ref = cwe(spec), dict_cwe_terms(spec)
+    terms = enum.terms
+    assert list(terms) == sorted(ref)
+    assert list(terms.items()) == sorted(ref.items())
+    assert list(terms.values()) == [c for _, c in sorted(ref.items())]
+    for key, count in ref.items():
+        assert key in terms and terms[key] == count
+    for missing in ((80, 1, 0), (0, 0, 0), (81, 0, 0), (-1, 0, 0)):
+        assert missing not in terms
+        with pytest.raises(KeyError):
+            terms[missing]
+    assert enum.exponents.dtype == enum.counts.dtype == np.int64
+    assert not enum.exponents.flags.writeable and not enum.counts.flags.writeable
+    # the dict constructor sorts its terms: the same arrays as the merge
+    assert CompleteWeightEnumerator(ref) == enum
+    assert CompleteWeightEnumerator(dict(reversed(ref.items()))) == enum
+    assert CompleteWeightEnumerator({}).total() == 0
+    assert CompleteWeightEnumerator({}).weight_marginal().entries == {}
+
+
+def _spec_with_spectrum(spec, name, sp):
+    """``spec`` with the stored spectrum of member ``name`` replaced by ``sp``, unvalidated."""
+    return CodeSpec(spec.m, spec.f, spec.g, spec.family, {**spec.spectra, name: sp})
+
+
+def test_cwe_rejects_a_negative_exponent():
+    # F = 1 has N0 = 0 at w = 0, so its term there would have t0 = N0 - 1 = -1
+    spec = random_valid_spec(3, np.random.default_rng(13))
+    one = fast_count_spectrum(TernaryFunction(3, np.ones(27)))
+    with pytest.raises(ConsistencyError, match="negative"):
+        cwe(_spec_with_spectrum(spec, "f", one))
+
+
+def test_cwe_rejects_a_row_that_does_not_sum_to_the_length():
+    # a doubled real part off by one is not a multiple of 3, so its floored
+    # t0 = (3^m + rd)//3 - 1 and t2 = (2*3^m - rd)//3 - N1 sum one short
+    spec = random_valid_spec(3, np.random.default_rng(14))
+    sp = spec.spectra["g"]
+    w = int(np.flatnonzero(sp.n2 > 0)[0])  # keeps t2 = N2 - 1 >= 0
+    bad = CountSpectrum.__new__(CountSpectrum)
+    bad.m, bad.n1, bad.rd = sp.m, sp.n1, sp.rd.copy()
+    bad.rd[w] += 1
+    with pytest.raises(ConsistencyError, match="does not sum"):
+        cwe(_spec_with_spectrum(spec, "g", bad))
+
+
+def test_cwe_rejects_multiplicities_that_miss_codewords():
+    # a member spectrum of dimension 2 in an m = 3 spec counts 9 shifts, not
+    # 27; its rows still sum to 3^3 - 1 and are nonnegative
+    spec = random_valid_spec(3, np.random.default_rng(15))
+    small = random_valid_spec(2, np.random.default_rng(15)).spectra["f+g"]
+    with pytest.raises(ConsistencyError, match="cover"):
+        cwe(_spec_with_spectrum(spec, "f+g", small))
 
 
 def test_serialization_round_trip():

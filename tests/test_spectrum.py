@@ -317,6 +317,13 @@ def test_count_reconstruction_and_divisibility():
             CountSpectrum(2, bad1, bad2)
 
 
+def test_count_spectrum_rejects_counts_whose_int32_sum_wraps():
+    # N1 + N2 = 2^31 wraps to a negative int32, which passes the sum bound
+    big = np.full(9, 2**30)
+    with pytest.raises(ConsistencyError, match=r"N1 or N2 > 3\^m"):
+        CountSpectrum(2, big, big)
+
+
 def test_is_linear_coset_free():
     # F equals the functional w . x exactly where its doubled real part is 2*3^m
     def linear_coset_free(F):
