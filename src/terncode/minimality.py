@@ -7,7 +7,12 @@ Two certifiers and one sufficient test:
   decides all ordered support inclusions (m <= 5) once per such pair: the
   words a covers are those that vanish wherever a does, the AND of the
   bitsets Z[x] of words with zero coordinate x over the zero coordinates x
-  of a, in uint64 words over the representatives.
+  of a, in uint64 words over the representatives.  Those words form a
+  subspace, the subcode vanishing on zero(a) (Ashikhmin and Barg, 1998),
+  and a subspace of F_3^(m+2) is cut out by m + 2 independent equations.
+  So the AND runs over a sample of 12 zero coordinates spread over those
+  of a, not all ~80 of a word at m = 5, and each word it lets through is
+  verified on all of zero(a): sample, then verify.
 * ``spectral_check``: the exact spectral criterion.  Up to scalar
   multiples, every codeword is s_v (a purely linear word) or F + s_v with
   F one of the four literal family members, and support covering between
@@ -70,13 +75,17 @@ negations.  Every operand argument is v1, v2, +/-(v1+v2) or +/-(v1-v2),
 so every violation lies on one of the lines v1 = p, v2 = p, v1+v2 = p and
 v1-v2 = p through a point p of P, each holding 3^m pairs.  Scanning those
 at most 4*|P| lines is therefore the whole criterion, not a pre-check.
-Each hit gets its scan-order key, and the keys go through the verdict
-function above, so the witnesses and the check count are those the scan
-order defines.  The shell codes and their scrambled copies have P = {0}
-(four lines); uniformly random valid pairs from m = 6 on typically have
-P empty.  On a 2-core machine a scrambled (m, 2, 4) shell certifies in
-about 2 ms at m = 8, 0.01 s at m = 10 and 0.1 s at m = 12, against
-4.3e7, 3.5e9 and 2.8e11 pairs (v1, v2).
+When 4|P| >= 3^m they hold at least the 3^(2m) pairs of the whole space,
+and the scan takes the lines v1 = p through every point p instead: one
+line kind, each pair once.  Of 200 random valid pairs, all took that
+cover at m = 2 and at m = 3, and none at m = 4 (|P| <= 20).  Either
+way each hit gets its scan-order key, and the keys go through the
+verdict function above, so the witnesses and the check count are those
+the scan order defines.  The shell codes and their scrambled copies have
+P = {0} (four lines); uniformly random valid pairs from m = 6 on
+typically have P empty.  On a 2-core machine a scrambled (m, 2, 4) shell
+certifies in about 2 ms at m = 8, 0.01 s at m = 10 and 0.1 s at m = 12,
+against 4.3e7, 3.5e9 and 2.8e11 pairs (v1, v2).
 """
 
 from __future__ import annotations
@@ -199,11 +208,20 @@ class MinimalityVerdict:
 # ---------------------------------------------------------------------------
 
 BRUTEFORCE_MAX_M = 5
-# a-rows per zero-bitset gather: the gather holds this many rows times the
-# zero coordinates of the sparsest word, in uint64 words over R bits.  At
-# m = 5 the oracle's allocation peak is 1.06 MiB with 16 rows and 1.48 MiB
-# with 64, for about 10% less time.
-_COVER_BLOCK = 16
+# Zero coordinates per row that the bitset AND reads.  The words a covers
+# form the subcode vanishing on zero(a), and a subspace of F_3^(m+2) is cut
+# out by m + 2 independent equations, so a dozen well-spread zero
+# coordinates already leave few false candidates: with 12 of the ~80 zero
+# coordinates of a word at m = 5, the 13,116 rows of 12 random pairs let
+# 21 false candidates through, in 7 rows.  Every candidate is then
+# verified on all of zero(a).  Rows with at most this many zero
+# coordinates AND them all and skip verification.
+_COVER_SAMPLE = 12
+# Representatives per bitset gather: one uint64 word of the bitsets, so the
+# own bit of row i of a block is bit i of one word.  The gather holds
+# _COVER_SAMPLE Z rows per representative, about 110 kB at m = 5.
+_COVER_BLOCK = 64
+_NOT_OWN = ~(np.uint64(1) << np.arange(_COVER_BLOCK, dtype=np.uint64))
 
 
 class _ZeroBitsets:
@@ -215,7 +233,8 @@ class _ZeroBitsets:
     into uint64 words; a last row sets every valid bit and pads the gathers.
     Supp(b) is inside Supp(a) exactly when b vanishes wherever a does, so
     the representatives a covers form the AND of Z[x] over the zero
-    coordinates x of a.
+    coordinates x of a.  The AND over a sample of them is a superset, and a
+    candidate b stays only if zero(a) is inside zero(b).
     """
 
     def __init__(self, zero: np.ndarray):
@@ -226,26 +245,43 @@ class _ZeroBitsets:
         packed[:-1] = np.packbits(zero.T, axis=1, bitorder="little")
         packed[-1] = np.packbits(np.ones(n_reps, bool), bitorder="little")
         self.z = bits.view("<u8")
-        self.coords = np.arange(n_coords)
 
-    def covered(self, start: int) -> dict[int, np.ndarray]:
-        """For each representative in [start, start + _COVER_BLOCK) that
-        covers another one: the representatives it covers, ascending."""
+    def sample(self, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """The sampled zero coordinates of the representatives in [start,
+        start + _COVER_BLOCK), one row each, and how many each has.
+
+        A row with n zero coordinates samples those at positions k*n/S
+        (k < S) of its ascending list, or all of them when n <= S, and the
+        pad row after them, so an AND never runs over nothing.
+        """
         zero = self.zero[start : start + _COVER_BLOCK]
-        pad = len(self.coords)
-        # zero coordinates first, then at least one pad row each, so an AND
-        # never runs over nothing and the bits past R stay clear
-        width = int(zero.sum(axis=1).max()) + 1
-        idx = np.sort(np.where(zero, self.coords, pad), axis=1)[:, :width]
-        # (width, rows, words): reducing over the leading axis ANDs whole
+        n_zero = zero.sum(axis=1)
+        pos = np.arange(_COVER_SAMPLE) * np.maximum(n_zero, _COVER_SAMPLE)[:, None] // _COVER_SAMPLE
+        # every row's zero coordinates, ascending (row-major order), then the
+        # pad row, which the positions past a row's own zeros read
+        coords = np.append(np.flatnonzero(zero) % zero.shape[1], zero.shape[1])
+        at = np.where(pos < n_zero[:, None], (np.cumsum(n_zero) - n_zero)[:, None] + pos, -1)
+        return coords[at], n_zero
+
+    def covered(self, start: int) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (a, b) of representatives with a in [start, start +
+        _COVER_BLOCK) covering b != a, ascending in a, then in b."""
+        sample, n_zero = self.sample(start)
+        # (sample, rows, words): reducing over the leading axis ANDs whole
         # rows, several times faster than a reduction over the middle axis
-        cover = np.bitwise_and.reduce(self.z[idx.T], axis=0)
-        own = np.arange(start, start + len(zero))
-        cover[np.arange(len(zero)), own >> 6] &= ~(np.uint64(1) << (own & 63).astype(np.uint64))
-        return {
-            start + int(i): np.flatnonzero(np.unpackbits(cover[i].view(np.uint8), bitorder="little"))
-            for i in np.flatnonzero(cover.any(axis=1))
-        }
+        cover = np.bitwise_and.reduce(self.z.take(sample.T, axis=0), axis=0)
+        cover[:, start // 64] &= _NOT_OWN[: len(cover)]
+        hit = np.flatnonzero(cover.any(axis=1))
+        bits = np.unpackbits(cover.take(hit, axis=0).view(np.uint8), axis=1, bitorder="little")
+        a, b = np.divmod(np.flatnonzero(bits), bits.shape[1])
+        a = hit[a]
+        # a sampled row keeps the candidates whose zeros hold all of its own
+        sampled = n_zero[a] > _COVER_SAMPLE
+        a += start
+        if sampled.any():
+            keep = ~(sampled & (self.zero.take(a, axis=0) > self.zero.take(b, axis=0)).any(axis=1))
+            a, b = a[keep], b[keep]
+        return a, b
 
 
 def is_minimal_bruteforce(spec: CodeSpec, max_witnesses: int = 1) -> MinimalityVerdict:
@@ -253,19 +289,19 @@ def is_minimal_bruteforce(spec: CodeSpec, max_witnesses: int = 1) -> MinimalityV
 
     Rows a ascend, and each counts 3^(m+2) - 3 checks: every row b but 0,
     a and -a.  The witnesses of a row are the rows b it covers, ascending;
-    the scan stops once ``max_witnesses`` are listed.  Coverage is decided
-    once per pair {c, -c}, on the zero bitsets of :class:`_ZeroBitsets`, in
-    blocks of representatives taken up in ascending order as the rows reach
-    them (a row's representative is never above it).
+    the scan stops once ``max_witnesses`` (at least one) are listed.
+    Coverage is decided once per pair {c, -c}, on the zero bitsets of
+    :class:`_ZeroBitsets`, in blocks of representatives in ascending order.
+    A row's representative is never above it, so after a block every row
+    below the next block's first representative has all its witnesses.
     """
     if spec.m > BRUTEFORCE_MAX_M:
         raise CapacityError(f"brute-force oracle supports m <= {BRUTEFORCE_MAX_M}, got m={spec.m}")
+    max_witnesses = max(max_witnesses, 1)
     total = gf3.pow3(spec.m)
     n_rows = 9 * total
     negated = gf3.neg_perm(spec.m + 2)  # row of -c: the negated message; row 0 is the zero word
     reps = np.flatnonzero(np.arange(n_rows) < negated)
-    rep_of = np.zeros(n_rows, np.int64)
-    rep_of[reps] = rep_of[negated[reps]] = np.arange(len(reps))
     bitsets = _ZeroBitsets(codeword_rows(spec, reps) == 0)
 
     def params(row: int) -> tuple[int, int, int]:
@@ -273,20 +309,22 @@ def is_minimal_bruteforce(spec: CodeSpec, max_witnesses: int = 1) -> MinimalityV
         ur, v = divmod(row, total)
         return (*divmod(ur, 3), v)
 
-    covered: dict[int, np.ndarray] = {}  # representative -> the representatives it covers
-    scanned = 0  # representatives decided so far
+    pending = np.zeros(0, np.int64)  # covering row pairs a*n_rows + b not yet listed, ascending
     witnesses: list[CoverWitness] = []
-    for a_row, rep in enumerate(rep_of.tolist()[1:], start=1):
-        if rep >= scanned:
-            covered.update(bitsets.covered(scanned))
-            scanned += _COVER_BLOCK
-        if rep not in covered:
+    for start in range(0, len(reps), _COVER_BLOCK):
+        a, b = bitsets.covered(start)
+        if not (a.size or pending.size):
             continue
-        b_reps = reps[covered[rep]]
-        for b_row in np.sort(np.concatenate([b_reps, negated[b_reps]])).tolist():
-            witnesses.append(CoverWitness(params(a_row), params(b_row)))
-            if len(witnesses) >= max_witnesses:
-                return MinimalityVerdict(False, "cover-oracle", witnesses, a_row * (n_rows - 3))
+        (a, neg_a), (b, neg_b) = ((reps[i], negated[reps[i]]) for i in (a, b))
+        a_rows = np.concatenate([a, a, neg_a, neg_a])  # +/-a covering +/-b
+        b_rows = np.concatenate([b, neg_b, b, neg_b])
+        pending = np.sort(np.concatenate([pending, a_rows * n_rows + b_rows]))
+        end = reps[start + _COVER_BLOCK] if start + _COVER_BLOCK < len(reps) else n_rows
+        ready = pending[: np.searchsorted(pending, end * n_rows)][: max_witnesses - len(witnesses)]
+        witnesses += [CoverWitness(params(key // n_rows), params(key % n_rows)) for key in ready.tolist()]
+        if len(witnesses) >= max_witnesses:
+            return MinimalityVerdict(False, "cover-oracle", witnesses, int(ready[-1]) // n_rows * (n_rows - 3))
+        pending = pending[len(ready) :]
     return MinimalityVerdict(not witnesses, "cover-oracle", witnesses, (n_rows - 1) * (n_rows - 3))
 
 
@@ -503,12 +541,12 @@ def orbit_violations(spec: CodeSpec) -> set[str] | None:
 # 3^(2m) (Parseval), a heavy w has |F_hat(w)|^2 >= 3^(2m) / 25, and at most
 # 25 shifts per member are heavy.
 _MAX_HEAVY = 25
-# pairs (v1, v2) per line evaluation, four per (p, j): several points' lines
-# at small m, a slice of one point's lines at large m.  A batch allocates
-# about 36 bytes per pair (two int64 index gathers, 16 int32 operands and one
-# line's temporaries per (p, j)), so 2^18 pairs take about 9 MB.  Each line
-# makes 20 comparisons per batch: at 2^14 the scan took twice as long at
-# m = 12, and at 2^16 4-17% longer at m = 10-13.
+# pairs (v1, v2) per line evaluation, one per line kind per (p, j): several
+# points' lines at small m, a slice of one point's lines at large m.  A
+# batch allocates about 36 bytes per pair (two int64 index gathers, 16
+# int32 operands and one line's temporaries per (p, j)), so 2^18 pairs take
+# about 9 MB.  Each line kind makes 20 comparisons per batch: at 2^14 the
+# scan took twice as long at m = 12, and at 2^16 4-17% longer at m = 10-13.
 _LINE_BATCH = 1 << 18
 
 
@@ -543,17 +581,19 @@ _LINES = (
 )
 
 
-def _line_keys(spec: CodeSpec, points: np.ndarray):
-    """Evaluate the 20 block comparisons on every line through ``points``.
+def _line_keys(spec: CodeSpec, lines, points: np.ndarray):
+    """Evaluate the 20 block comparisons on the lines of the kinds ``lines``
+    (entries of ``_LINES``) through ``points``.
 
     A violation has a heavy operand argument (see ``_MAX_HEAVY``), which is
     one of v1, v2, +/-(v1+v2) and +/-(v1-v2) (v3 = -(v1+v2)).  With P = -P,
     the pair (v1, v2) lies on one of the lines v1 = p, v2 = p, v1+v2 = p
-    and v1-v2 = p for some p in P, each holding 3^m pairs.  On all four,
-    every operand of member F is RD(F, w) at one of the seven arguments of
+    and v1-v2 = p for some p in P, each holding 3^m pairs; the lines v1 = p
+    for every p in F_3^m hold each pair once.  On all four kinds, every
+    operand of member F is RD(F, w) at one of the seven arguments of
     ``_LINES``: a slice at j, a gather at each of +/-(p+j) and +/-(p-j),
     and a scalar per point at +/-p.  So per batch each member's RD is read
-    once per argument, and the four lines share those reads.
+    once per argument, and the line kinds share those reads.
 
     Yields (points done, keys) per batch, a hit of comparison c at (v1, v2)
     keyed by its place in the scan order (see :func:`_key_layout`).
@@ -567,8 +607,8 @@ def _line_keys(spec: CodeSpec, points: np.ndarray):
     neg = gf3.neg_perm(m)
     rd = {name: spec.spectra[name].rd for name in FAMILY_NAMES}
     j_all = np.arange(n)
-    per_batch = max(1, _LINE_BATCH // (4 * n))  # points per batch
-    seg = min(n, _LINE_BATCH // 4)  # j per batch when one point's lines do not fit
+    per_batch = max(1, _LINE_BATCH // (len(lines) * n))  # points per batch
+    seg = min(n, _LINE_BATCH // len(lines))  # j per batch when one point's lines do not fit
     for i0 in range(0, len(points), per_batch):
         pts = points[i0 : i0 + per_batch]
         add, sub = gf3.add_perm_rows(m, pts), gf3.sub_perm_rows(m, pts)  # p+j, p-j
@@ -579,7 +619,7 @@ def _line_keys(spec: CodeSpec, points: np.ndarray):
                    "p+j": a, "p-j": s, "-(p+j)": neg[a], "-(p-j)": neg[s]}
             ops = {name: {w: r[js] if w == "j" else r[v] for w, v in arg.items()} for name, r in rd.items()}
             keys = [np.zeros(0, np.int64)]
-            for line in _LINES:
+            for line in lines:
                 v1, v2 = np.broadcast_arrays(arg[line["v1"]], arg[line["v2"]])
                 masks = _comparisons(T, lambda name, kind: ops[name][line[kind]], v1 != v2)
                 for c, mask in enumerate(masks):
@@ -606,13 +646,16 @@ def spectral_check(
     a scan stopping at the comparison of the last one reported, and
     20*3^(2m) - 8*3^m in every mode when none is.  When the orbit
     pre-check finds weight-symmetric spectra and no violated orbit, the
-    clean verdict is returned at once.  Otherwise the lines through the
-    heavy points decide it in every mode, on one process.
-    ``processes`` is ignored; the perfbench workloads still pass it.
-    ``budget_seconds`` caps wall-clock time: a budget spent before the
-    line scan raises :class:`CapacityError` with ``completed_fraction`` 0,
-    one spent during it raises between batches with the share of heavy
-    points done.  A NaN or negative budget raises ValueError.
+    clean verdict is returned at once.  Otherwise line scans decide it in
+    every mode, on one process: the four lines through each heavy point,
+    or, when those hold at least the 3^(2m) pairs of the whole criterion
+    (3^m <= 4|P|), the lines v1 = p through every point p, which hold each
+    pair once.  ``processes`` is ignored; the perfbench workloads still
+    pass it.  ``budget_seconds`` caps wall-clock time: a budget spent
+    before the line scan raises :class:`CapacityError` with
+    ``completed_fraction`` 0, one spent during it raises between batches
+    with the share of the scanned points done.  A NaN or negative budget
+    raises ValueError.
     """
     _check_cap(exhaustive, max_witnesses)
     if budget_seconds is not None and not budget_seconds >= 0:  # NaN fails every comparison
@@ -628,14 +671,16 @@ def spectral_check(
         raise CapacityError("budget exceeded before the heavy-line scan", completed_fraction=0.0)
     if clean_orbits:
         return _verdict(m, [], exhaustive, per_condition, max_witnesses)
-    points = heavy_points(spec)
+    lines, points, what = _LINES, heavy_points(spec), "heavy points"
+    if gf3.pow3(m) <= 4 * len(points):
+        lines, points, what = _LINES[:1], np.arange(gf3.pow3(m)), "lines v1 = p"
 
     def line_keys():
         """The line keys, with the budget checked between batches."""
-        for done, keys in _line_keys(spec, points):
+        for done, keys in _line_keys(spec, lines, points):
             yield keys
             if done < len(points) and spent():
-                message = f"budget exceeded after {done}/{len(points)} heavy points"
+                message = f"budget exceeded after {done}/{len(points)} {what}"
                 raise CapacityError(message, completed_fraction=done / len(points))
 
     return _verdict(m, line_keys(), exhaustive, per_condition, max_witnesses)

@@ -81,6 +81,21 @@ def sparse_random_spec(m: int, rng: np.random.Generator, support: int = 3) -> Co
     return _first_valid(m, draw)
 
 
+def junta_spec(m: int, rng: np.random.Generator) -> CodeSpec:
+    """Rejection-sample a valid pair f(x) = h1(x_0, x_1), g(x) = h2(x_2, x_3)
+    (m >= 4) for random h1, h2 on F_3^2 vanishing at 0.  Each spectrum lives
+    on a few shifts, so such pairs have many heavy points."""
+    digits = gf3.digits_table(m).astype(np.int64)
+
+    def draw() -> CodeSpec:
+        h = rng.integers(0, 3, size=(2, 3, 3), dtype=np.int8)
+        h[:, 0, 0] = 0
+        f = TernaryFunction(m, h[0][digits[0], digits[1]])
+        return validate(m, f, TernaryFunction(m, h[1][digits[2], digits[3]]))
+
+    return _first_valid(m, draw)
+
+
 def weight_symmetric_spec(m: int, f_by_weight, g_by_weight) -> CodeSpec:
     """The code of f(x) = f_by_weight[wt(x)], g(x) = g_by_weight[wt(x)]."""
     weights = gf3.weights_table(m)

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+from terncode import cli
 from terncode.cli import main
 
 # frozen valid pairs: the m=3 pair is minimal, the m=2 pair is not
@@ -174,6 +175,30 @@ def test_enumerator_stdout_on_a_random_pair_is_pinned(capsys, tmp_path):
         rc, out = run(capsys, cmd, "--f", str(fp), "--g", str(gp), "--format", fmt)
         assert rc == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# 3: a list spans several chunks, and one ends on a chunk boundary
+@pytest.mark.parametrize("chunk", [cli._ROW_CHUNK, 3])
+def test_result_json_rows_match_json_dumps(capsys, monkeypatch, chunk):
+    import numpy as np
+    from conftest import random_valid_spec
+
+    from terncode import code
+
+    monkeypatch.setattr(cli, "_ROW_CHUNK", chunk)
+    rng = np.random.default_rng(8)
+    objs = []
+    for m in range(2, 7):
+        spec = random_valid_spec(m, rng)
+        wd, enum = code.weight_distribution(spec), code.cwe(spec)
+        objs += [code.result_json_obj(m, weights=wd), code.result_json_obj(m, cwe_terms=enum),
+                 code.result_json_obj(m, weights=wd, cwe_terms=enum)]
+    one_term = code.CompleteWeightEnumerator({(8, 0, 0): 1})
+    objs += [code.result_json_obj(2, cwe_terms=one_term), {**code.result_json_obj(2), "cwe": []}]
+    assert {len(rows) % 3 for obj in objs for rows in (obj.get("weights"), obj.get("cwe")) if rows} == {0, 1, 2}
+    for obj in objs:
+        cli._print_result_json(obj)
+        assert capsys.readouterr().out == json.dumps(obj, indent=2) + "\n"
 
 
 def test_m_mismatch_is_domain_error(capsys, pair3):

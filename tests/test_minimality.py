@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terncode import gf3, minimality
+from terncode.code import codeword_rows
 from terncode.errors import CapacityError, ConsistencyError
 from terncode.minimality import (
     ALL_CONDITIONS,
@@ -21,6 +22,7 @@ from terncode.spectrum import TernaryFunction, combine
 
 from conftest import (
     all_codewords,
+    junta_spec,
     naive_violations,
     random_valid_spec,
     random_weight_symmetric_spec,
@@ -188,10 +190,7 @@ def _byte_major_scan(spec, max_witnesses: int):
     return found, checks
 
 
-def test_bruteforce_matches_the_byte_major_scan():
-    rng = np.random.default_rng(44)
-    specs = [sparse_random_spec(4, rng), sparse_random_spec(4, rng, support=1)]
-    specs += [random_valid_spec(4, rng), sparse_random_spec(5, rng)]
+def _assert_bruteforce_matches_the_byte_major_scan(specs):
     for spec in specs:
         for cap in (1, 7, 10**6):
             found, checks = _byte_major_scan(spec, cap)
@@ -199,7 +198,41 @@ def test_bruteforce_matches_the_byte_major_scan():
             assert [(w.a_params, w.b_params) for w in verdict.witnesses] == found
             assert verdict.checks == checks
             assert verdict.minimal == (not found)
+
+
+def test_bruteforce_matches_the_byte_major_scan():
+    rng = np.random.default_rng(44)
+    specs = [sparse_random_spec(4, rng), sparse_random_spec(4, rng, support=1)]
+    specs += [random_valid_spec(4, rng), sparse_random_spec(5, rng)]
+    # minimal pairs at m = 5: every row's AND is over a sample of its ~80
+    # zero coordinates, so every candidate must be verified away
+    minimal = [random_valid_spec(5, rng) for _ in range(2)]
+    specs += [*minimal, random_weight_symmetric_spec(4, rng), random_weight_symmetric_spec(5, rng)]
+    specs.append(shell_spec(5, 2, 4))
+    _assert_bruteforce_matches_the_byte_major_scan(specs)
     assert not is_minimal_bruteforce(specs[0]).minimal
+    assert all(is_minimal_bruteforce(spec).minimal for spec in minimal)
+
+
+def test_bruteforce_verifies_every_sampled_candidate(monkeypatch):
+    # one zero coordinate per row: the AND keeps every word vanishing there,
+    # and only the verification on all of zero(a) removes the false ones
+    monkeypatch.setattr(minimality, "_COVER_SAMPLE", 1)
+    rng = np.random.default_rng(45)
+    specs = [random_valid_spec(3, rng), sparse_random_spec(4, rng), random_valid_spec(4, rng)]
+    specs += [random_weight_symmetric_spec(4, rng), sparse_random_spec(5, rng)]
+    negated = gf3.neg_perm(5)
+    reps = np.flatnonzero(np.arange(len(negated)) < negated)  # the oracle's rows at m = 3
+    bitsets = minimality._ZeroBitsets(codeword_rows(specs[0], reps) == 0)
+    candidates = covering = 0
+    for start in range(0, len(reps), minimality._COVER_BLOCK):
+        sample, n_zero = bitsets.sample(start)
+        assert (n_zero > 1).all()  # every row's AND is over a sample
+        and_of_sample = np.bitwise_and.reduce(bitsets.z[sample.T], axis=0)
+        candidates += np.unpackbits(and_of_sample.view(np.uint8)).sum() - len(sample)  # own bits out
+        covering += len(bitsets.covered(start)[0])
+    assert candidates > 10 * covering
+    _assert_bruteforce_matches_the_byte_major_scan(specs)
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -392,7 +425,7 @@ def test_scrambled_shell_is_not_weight_symmetric(m):
 def heavy_line_witnesses(spec) -> list:
     """Every violation on the lines through the heavy points, as witnesses
     in scan order."""
-    batches = [keys for _, keys in minimality._line_keys(spec, minimality.heavy_points(spec))]
+    batches = [keys for _, keys in minimality._line_keys(spec, minimality._LINES, minimality.heavy_points(spec))]
     keys = np.unique(np.concatenate([np.zeros(0, np.int64), *batches]))
     return [minimality._witness(spec.m, key) for key in keys]
 
@@ -475,13 +508,10 @@ def test_heavy_points_respect_parseval():
         spectral_check(spec)
 
 
-def test_heavy_path_budget_counts_points(monkeypatch):
-    spec = sparse_random_spec(4, np.random.default_rng(69))
-    n_points = len(minimality.heavy_points(spec))
-    assert n_points > 2
-    monkeypatch.setattr(minimality, "_LINE_BATCH", 4 * gf3.pow3(4))  # one point per batch
+def _tick_clock(monkeypatch) -> None:
+    """Make ``minimality``'s clock advance one second per reading."""
 
-    class Clock:  # one second per reading
+    class Clock:
         now = 0.0
 
         @classmethod
@@ -490,8 +520,46 @@ def test_heavy_path_budget_counts_points(monkeypatch):
             return cls.now
 
     monkeypatch.setattr(minimality, "time", Clock)
+
+
+def test_heavy_path_budget_counts_points(monkeypatch):
+    spec = sparse_random_spec(4, np.random.default_rng(69))
+    n_points = len(minimality.heavy_points(spec))
+    assert 2 < n_points and 4 * n_points < 3**4  # the heavy lines are the smaller cover
+    monkeypatch.setattr(minimality, "_LINE_BATCH", 4 * gf3.pow3(4))  # one point per batch
+    _tick_clock(monkeypatch)
     # readings: the deadline (1 + 2.5), after the orbit check (2), after the
     # first point (3) and after the second (4 >= 3.5)
     with pytest.raises(CapacityError) as exc:
         spectral_check(spec, budget_seconds=2.5)
     assert exc.value.completed_fraction == 2 / n_points
+
+
+def test_whole_space_budget_counts_points(monkeypatch):
+    spec = random_valid_spec(3, np.random.default_rng(73))
+    assert 3**3 <= 4 * len(minimality.heavy_points(spec))  # so the scan takes the lines v1 = p
+    monkeypatch.setattr(minimality, "_LINE_BATCH", gf3.pow3(3))  # one point per batch
+    _tick_clock(monkeypatch)
+    with pytest.raises(CapacityError, match="after 2/27 lines v1 = p") as exc:
+        spectral_check(spec, budget_seconds=2.5)
+    assert exc.value.completed_fraction == 2 / 27
+
+
+def test_whole_space_scan_matches_naive_reference():
+    # where 3^m <= 4|P|, the four lines through each heavy point hold at
+    # least as many pairs as the criterion itself, and spectral_check scans
+    # the lines v1 = p through every point instead: each pair once
+    rng = np.random.default_rng(72)
+    specs = [sampler(m, rng) for m in (2, 3) for sampler in (random_valid_spec, sparse_random_spec) for _ in range(2)]
+    spec = junta_spec(4, rng)
+    while 4 * len(minimality.heavy_points(spec)) < 3**4:
+        spec = junta_spec(4, rng)
+    specs.append(spec)
+    for spec in specs:
+        assert orbit_violations(spec) is None
+        assert 3**spec.m <= 4 * len(minimality.heavy_points(spec))
+        n_violations = len(naive_violations(spec))
+        assert n_violations > 7
+        caps = (1, 7, n_violations, 10**9)
+        for mode in [{}, {"per_condition": True}, *({"exhaustive": True, "max_witnesses": cap} for cap in caps)]:
+            assert spectral_check(spec, **mode).to_json_obj() == reference_verdict(spec, **mode).to_json_obj()
