@@ -8,6 +8,11 @@ codeword pair.  It also compares the spectral complete weight enumerator
 with the one counted from all 9*3^m materialized codewords.  Any
 disagreement counts as a mismatch.
 
+Two families per m: uniformly random pairs, and from m = 4 on as many
+few-coordinate pairs f(x) = h1(x_0, x_1), g(x) = h2(x_2, x_3).  Random
+pairs at m = 4-5 are minimal, so only the few-coordinate pairs, which are
+not, give the oracle witnesses to confirm there.
+
     python scripts/cross_oracle_experiment.py --per-m 500 --m 2 3 4 --seed 1
 """
 
@@ -29,6 +34,20 @@ def random_valid_spec(m, rng):
         g = TernaryFunction.random(m, rng)
         try:
             return validate(m, f, g)
+        except ValidationError:
+            continue
+
+
+def junta_spec(m, rng):
+    """A valid pair f(x) = h1(x_0, x_1), g(x) = h2(x_2, x_3) (m >= 4), for
+    random h1, h2 on F_3^2 vanishing at 0."""
+    digits = gf3.digits_table(m).astype(np.int64)
+    while True:
+        h = rng.integers(0, 3, size=(2, 3, 3), dtype=np.int8)
+        h[:, 0, 0] = 0
+        f = TernaryFunction(m, h[0][digits[0], digits[1]])
+        try:
+            return validate(m, f, TernaryFunction(m, h[1][digits[2], digits[3]]))
         except ValidationError:
             continue
 
@@ -60,27 +79,31 @@ def main() -> int:
     t0 = time.time()
     mismatches = 0
     for m in args.m:
-        n_min = n_non = 0
-        for _ in range(args.per_m):
-            spec = random_valid_spec(m, rng)
-            if cwe(spec) != materialized_cwe(spec):
-                mismatches += 1
-                print(f"MISMATCH at m={m}: spectral CWE differs from the materialized codewords")
-            bf = is_minimal_bruteforce(spec, max_witnesses=20)
-            t2 = spectral_check(spec)
-            if bf.minimal != t2.minimal:
-                mismatches += 1
-                print(f"MISMATCH at m={m}: oracle={bf.minimal} spectral={t2.minimal}")
-                continue
-            if t2.minimal:
-                n_min += 1
-            else:
-                n_non += 1
-                for w in [t2.witnesses[0], *bf.witnesses]:
-                    if not confirm_witness(spec, w):
-                        mismatches += 1
-                        print(f"MISMATCH at m={m}: witness {w} does not cover")
-        print(f"m={m}: {n_min} minimal, {n_non} non-minimal, verdicts and CWEs checked")
+        families = [("random", random_valid_spec)] + [("few-coordinate", junta_spec)] * (m >= 4)
+        tallies = []
+        for family, sample in families:
+            n_min = n_non = 0
+            for _ in range(args.per_m):
+                spec = sample(m, rng)
+                if cwe(spec) != materialized_cwe(spec):
+                    mismatches += 1
+                    print(f"MISMATCH at m={m} ({family}): spectral CWE differs from the materialized codewords")
+                bf = is_minimal_bruteforce(spec, max_witnesses=20)
+                t2 = spectral_check(spec)
+                if bf.minimal != t2.minimal:
+                    mismatches += 1
+                    print(f"MISMATCH at m={m} ({family}): oracle={bf.minimal} spectral={t2.minimal}")
+                    continue
+                if t2.minimal:
+                    n_min += 1
+                else:
+                    n_non += 1
+                    for w in [t2.witnesses[0], *bf.witnesses]:
+                        if not confirm_witness(spec, w):
+                            mismatches += 1
+                            print(f"MISMATCH at m={m} ({family}): witness {w} does not cover")
+            tallies.append(f"{family} {n_min} minimal, {n_non} non-minimal")
+        print(f"m={m}: {'; '.join(tallies)}; verdicts and CWEs checked")
     print(f"{mismatches} mismatches in {time.time() - t0:.1f}s")
     return 0 if mismatches == 0 else 1
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 import bisect
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -426,29 +427,56 @@ def materialize(spec: CodeSpec, u: int, r: int, v: int) -> Codeword:
     return cw
 
 
+# Codeword rows are a small-m helper, for brute-force work.  The table of
+# -(v.x) mod 3 they read holds 3^m (3^m - 1) int8 entries, 59 kB at m = 5.
+CODEWORD_ROWS_MAX_M = 5
+
+
+@lru_cache(maxsize=None)
+def neg_dot_table(m: int) -> np.ndarray:
+    """Shape (3^m, 3^m - 1) int8: -(v.x) mod 3 for every v (row) and nonzero x.
+
+    Coordinate x of c(u, r, v) is zero exactly when (u f + r g)(x) equals
+    row v here, and row -v holds v.x itself.  Depends on m only, so it is
+    built once per m (m <= ``CODEWORD_ROWS_MAX_M``).
+    """
+    if m > CODEWORD_ROWS_MAX_M:
+        raise CapacityError(f"codeword rows support m <= {CODEWORD_ROWS_MAX_M}, got m={m}")
+    digits = gf3.digits_table(m)
+    table = digits.T @ digits[:, 1:]  # int8: at most 4m
+    np.negative(table, out=table)
+    table %= 3
+    table.setflags(write=False)
+    return table
+
+
+def pair_rows(spec: CodeSpec) -> np.ndarray:
+    """Shape (9, 3^m - 1) int8: row 3u + r holds (u f + r g)(x) mod 3 over nonzero x."""
+    rows = gf3.digits_table(2).T @ np.stack([spec.g.table[1:], spec.f.table[1:]])  # digits (r, u)
+    rows %= 3
+    return rows
+
+
 def codeword_rows(spec: CodeSpec, rows) -> np.ndarray:
     """The codewords of the messages with base-3 indices ``rows``, as an int8 matrix.
 
     Index (3u + r)*3^m + v is the message of c(u, r, v).  Index 0 is the
     zero word, and negating a word negates its message, so -c has index
     ``gf3.neg_perm(m + 2)[i]``.  Small-m helper for brute-force work
-    (m <= 5).
+    (m <= ``CODEWORD_ROWS_MAX_M``).
 
-    The product is formed by blocks of the generator matrix G: the low m
-    message digits give v.x = ``digits_table(m).T @ G[:m]`` (3^m rows) and
-    the top two give r*g + u*f = ``digits_table(2).T @ G[m:]`` (9 rows), so
-    the word of index i is the sum mod 3 of row i // 3^m of the one and
-    row i % 3^m of the other.
+    The word of index i is row i // 3^m of :func:`pair_rows` plus v.x, row
+    -v of :func:`neg_dot_table` with v = i % 3^m: one gather-add of two
+    entries below 3, then 3 is subtracted where the sum reaches it (times a
+    0/1 indicator: ``% 3`` or a masked subtract is 20x slower or more on
+    int8).
     """
     m = spec.m
-    if m > 5:
-        raise CapacityError(f"codeword rows support m <= 5, got m={m}")
-    rows = np.asarray(rows, dtype=np.int64)
-    total = gf3.pow3(m)
-    gen = _generator_matrix(spec)
-    words = (gf3.digits_table(2).T @ gen[m:])[rows // total]
-    words += (gf3.digits_table(m).T @ gen[:m])[rows % total]
-    words %= 3
+    table = neg_dot_table(m)  # raises past CODEWORD_ROWS_MAX_M
+    ur, v = np.divmod(np.asarray(rows, dtype=np.int64), gf3.pow3(m))
+    words = pair_rows(spec)[ur]
+    words += table[gf3.neg_perm(m)[v]]
+    words -= 3 * (words >= 3).view(np.int8)
     return words
 
 

@@ -2,17 +2,19 @@
 
 Two certifiers and one sufficient test:
 
-* ``is_minimal_bruteforce``: the definition itself.  Materializes one
-  codeword per pair {c, -c}, the (3^(m+2) - 1)/2 representative rows, and
-  decides all ordered support inclusions (m <= 5) once per such pair: the
-  words a covers are those that vanish wherever a does, the AND of the
-  bitsets Z[x] of words with zero coordinate x over the zero coordinates x
-  of a, in uint64 words over the representatives.  Those words form a
-  subspace, the subcode vanishing on zero(a) (Ashikhmin and Barg, 1998),
-  and a subspace of F_3^(m+2) is cut out by m + 2 independent equations.
-  So the AND runs over a sample of 12 zero coordinates spread over those
-  of a, not all ~80 of a word at m = 5, and each word it lets through is
-  verified on all of zero(a): sample, then verify.
+* ``is_minimal_bruteforce``: the definition itself.  Takes one codeword
+  per pair {c, -c}, the (3^(m+2) - 1)/2 representative rows, and decides
+  all ordered support inclusions (m <= 5) once per such pair: the words a
+  covers are those that vanish wherever a does, the AND of the bitsets
+  Z[x] of words with zero coordinate x over the zero coordinates x of a,
+  in uint64 words over the representatives.  Those words form a subspace,
+  the subcode vanishing on zero(a) (Ashikhmin and Barg, 1998), and a
+  subspace of F_3^(m+2) is cut out by m + 2 independent equations.  So
+  the AND runs over the zeros of a among 36 fixed anchor coordinates
+  (about 12 of the ~80 zeros of a word at m = 5), and each word it lets
+  through is verified on all of zero(a): sample, then verify.  x is a
+  zero of c(u, r, v) when (u f + r g)(x) = -(v.x) mod 3, read from a
+  table of -(v.x) built once per m.
 * ``spectral_check``: the exact spectral criterion.  Up to scalar
   multiples, every codeword is s_v (a purely linear word) or F + s_v with
   F one of the four literal family members, and support covering between
@@ -92,12 +94,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 from . import gf3
-from .code import FAMILY_NAMES, FAMILY_TO_UR, UR_TO_FAMILY, CodeSpec, codeword_rows, materialize
+from .code import FAMILY_NAMES, FAMILY_TO_UR, UR_TO_FAMILY, CodeSpec, materialize, neg_dot_table, pair_rows
 from .errors import CapacityError, ConsistencyError
 
 
@@ -208,80 +211,107 @@ class MinimalityVerdict:
 # ---------------------------------------------------------------------------
 
 BRUTEFORCE_MAX_M = 5
-# Zero coordinates per row that the bitset AND reads.  The words a covers
-# form the subcode vanishing on zero(a), and a subspace of F_3^(m+2) is cut
-# out by m + 2 independent equations, so a dozen well-spread zero
-# coordinates already leave few false candidates: with 12 of the ~80 zero
-# coordinates of a word at m = 5, the 13,116 rows of 12 random pairs let
-# 21 false candidates through, in 7 rows.  Every candidate is then
-# verified on all of zero(a).  Rows with at most this many zero
-# coordinates AND them all and skip verification.
-_COVER_SAMPLE = 12
-# Representatives per bitset gather: one uint64 word of the bitsets, so the
-# own bit of row i of a block is bit i of one word.  The gather holds
-# _COVER_SAMPLE Z rows per representative, about 110 kB at m = 5.
-_COVER_BLOCK = 64
-_NOT_OWN = ~(np.uint64(1) << np.arange(_COVER_BLOCK, dtype=np.uint64))
+# Anchor coordinates, evenly spread over 1 .. 3^m - 1 (all of them for
+# m <= 3); each row ANDs the bitsets of its zeros among them.  A row of a
+# random pair at m = 5 has about 12 zeros among 36 anchors; with fewer
+# anchors, rows with few zeros among them let hundreds of false candidates
+# through.  Candidates are verified on all of zero(a), unless the anchors
+# are all the coordinates.
+_COVER_ANCHORS = 36
+# Rows with candidates per step: a non-minimal code stops after the step
+# that completes its witnesses.  A step unpacks their bitsets to one byte
+# per bit, 74 kB at m = 5.
+_COVER_ROWS = 64
+# Candidate pairs verified at once, about 4(3^m - 1) bytes each (250 kB at
+# m = 5).
+_VERIFY_PAIRS = 256
+
+
+# the pair rows 3u + r below the row of (-u, -r), for (u, r) = (0, 1),
+# (1, 0), (1, 1) and (1, 2): a literal, since numpy work at import time
+# raised the benchmark's peak RSS by about 0.3 MiB
+_FULL_PAIR_ROWS = (1, 3, 4, 5)
+
+
+@lru_cache(maxsize=None)
+def _representatives(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(half, reps, own, not_own): the rows i < -i, one per pair {c, -c} of
+    nonzero words, ascending.  First (0, 0, v) for the v < -v in ``half``,
+    then every (u, r, v) of each (u, r) in ``_FULL_PAIR_ROWS``.  The own bit
+    of representative i is ``~not_own[i]`` at word ``own[i]`` of the
+    flattened (rows, words) bitsets."""
+    total = gf3.pow3(m)
+    half = np.flatnonzero(np.arange(total) < gf3.neg_perm(m))
+    reps = np.concatenate([half, *(ur * total + np.arange(total) for ur in _FULL_PAIR_ROWS)])
+    i = np.arange(len(reps))
+    own = i * -(-len(reps) // 64) + i // 64
+    return half, reps, own, ~(np.uint64(1) << (i % 64).astype(np.uint64))
 
 
 class _ZeroBitsets:
     """The words covered by each representative row, from transposed bitsets.
 
-    The rows of ``zero`` are the representatives: one row r < -r per pair
-    {c, -c} of nonzero words (the two share a support).  Z[x] is the bitset
-    over representatives b of the words with b_x = 0, packed little-endian
-    into uint64 words; a last row sets every valid bit and pads the gathers.
-    Supp(b) is inside Supp(a) exactly when b vanishes wherever a does, so
-    the representatives a covers form the AND of Z[x] over the zero
-    coordinates x of a.  The AND over a sample of them is a superset, and a
-    candidate b stays only if zero(a) is inside zero(b).
+    The representatives are one row r < -r per pair {c, -c} of nonzero
+    words (the two share a support).  Z[x] is the bitset over
+    representatives b of the words with b_x = 0, packed little-endian into
+    uint64 words; a last row sets every valid bit.  Supp(b) is inside
+    Supp(a) exactly when b vanishes wherever a does, so the representatives
+    a covers form the AND of Z[x] over the zero coordinates x of a.
+    ``cover`` holds, for every a, the AND over its zeros among the anchors,
+    own bit cleared: a superset, and a candidate b stays only if zero(a)
+    is inside zero(b).  x is a zero of c(u, r, v) when row 3u + r of
+    :func:`code.pair_rows` equals row v of :func:`code.neg_dot_table`.
     """
 
-    def __init__(self, zero: np.ndarray):
-        self.zero = zero  # (R, 3^m - 1): zero[b, x] is b_x == 0
-        n_reps, n_coords = zero.shape
-        bits = np.zeros((n_coords + 1, -(-n_reps // 64) * 8), np.uint8)
-        packed = bits[:, : -(-n_reps // 8)]
-        packed[:-1] = np.packbits(zero.T, axis=1, bitorder="little")
-        packed[-1] = np.packbits(np.ones(n_reps, bool), bitorder="little")
-        self.z = bits.view("<u8")
+    def __init__(self, spec: CodeSpec):
+        m = spec.m
+        self.total = total = gf3.pow3(m)
+        half, self.reps, own, not_own = _representatives(m)
+        self.table, self.pairs = neg_dot_table(m), pair_rows(spec)
+        n_coords, n_reps = total - 1, len(self.reps)
+        n_words = -(-n_reps // 64)
+        zero = np.zeros((n_coords + 1, 64 * n_words), bool)  # zero[x - 1, b]: b_x == 0; last row the pad
+        np.equal(self.table[half], 0, out=zero[:-1, : len(half)].T)  # (u, r) = (0, 0): the pair rows are 0
+        # one row per coordinate: compares into rows of zero run several
+        # times faster than into its transposed view
+        columns = self.table.T.copy()
+        for k, ur in enumerate(_FULL_PAIR_ROWS):
+            lo = len(half) + k * total
+            np.equal(columns, self.pairs[ur, :, None], out=zero[:-1, lo : lo + total])
+        zero[-1, :n_reps] = True
+        z = np.packbits(zero, bitorder="little").view("<u8").reshape(len(zero), n_words)
+        # a row's slot at an anchor outside its zeros reads the pad row
+        n_anchors = min(_COVER_ANCHORS, n_coords)
+        anchors = (np.arange(n_anchors) * n_coords // n_anchors).astype(np.int16)
+        self.exact = n_anchors == n_coords
+        slots = np.where(zero[anchors, :n_reps], anchors[:, None], np.int16(n_coords))
+        del zero
+        # AND in place, one anchor at a time: one gather over all anchors
+        # would hold a copy of the bitsets per anchor, 5.7 MB at m = 5
+        cover = z.take(slots[0], axis=0)
+        for slot in slots[1:]:
+            np.bitwise_and(cover, z.take(slot, axis=0), out=cover)
+        cover.reshape(-1)[own] &= not_own
+        self.cover = cover
 
-    def sample(self, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """The sampled zero coordinates of the representatives in [start,
-        start + _COVER_BLOCK), one row each, and how many each has.
+    def zero_rows(self, i: np.ndarray) -> np.ndarray:
+        """The zero coordinates of representatives ``i``, one bool row each."""
+        ur, v = np.divmod(self.reps[i], self.total)
+        return self.table[v] == self.pairs[ur]
 
-        A row with n zero coordinates samples those at positions k*n/S
-        (k < S) of its ascending list, or all of them when n <= S, and the
-        pad row after them, so an AND never runs over nothing.
-        """
-        zero = self.zero[start : start + _COVER_BLOCK]
-        n_zero = zero.sum(axis=1)
-        pos = np.arange(_COVER_SAMPLE) * np.maximum(n_zero, _COVER_SAMPLE)[:, None] // _COVER_SAMPLE
-        # every row's zero coordinates, ascending (row-major order), then the
-        # pad row, which the positions past a row's own zeros read
-        coords = np.append(np.flatnonzero(zero) % zero.shape[1], zero.shape[1])
-        at = np.where(pos < n_zero[:, None], (np.cumsum(n_zero) - n_zero)[:, None] + pos, -1)
-        return coords[at], n_zero
-
-    def covered(self, start: int) -> tuple[np.ndarray, np.ndarray]:
-        """The pairs (a, b) of representatives with a in [start, start +
-        _COVER_BLOCK) covering b != a, ascending in a, then in b."""
-        sample, n_zero = self.sample(start)
-        # (sample, rows, words): reducing over the leading axis ANDs whole
-        # rows, several times faster than a reduction over the middle axis
-        cover = np.bitwise_and.reduce(self.z.take(sample.T, axis=0), axis=0)
-        cover[:, start // 64] &= _NOT_OWN[: len(cover)]
-        hit = np.flatnonzero(cover.any(axis=1))
-        bits = np.unpackbits(cover.take(hit, axis=0).view(np.uint8), axis=1, bitorder="little")
+    def covered(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The pairs (a, b) of representatives with a in ``rows`` (ascending)
+        covering b != a, ascending in a, then in b."""
+        bits = np.unpackbits(self.cover[rows].view(np.uint8), axis=1, bitorder="little")
         a, b = np.divmod(np.flatnonzero(bits), bits.shape[1])
-        a = hit[a]
-        # a sampled row keeps the candidates whose zeros hold all of its own
-        sampled = n_zero[a] > _COVER_SAMPLE
-        a += start
-        if sampled.any():
-            keep = ~(sampled & (self.zero.take(a, axis=0) > self.zero.take(b, axis=0)).any(axis=1))
-            a, b = a[keep], b[keep]
-        return a, b
+        a = rows[a]
+        if self.exact:
+            return a, b
+        keep = np.ones(len(a), bool)
+        for i in range(0, len(a), _VERIFY_PAIRS):
+            batch = slice(i, i + _VERIFY_PAIRS)
+            keep[batch] = ~(self.zero_rows(a[batch]) > self.zero_rows(b[batch])).any(axis=1)
+        return a[keep], b[keep]
 
 
 def is_minimal_bruteforce(spec: CodeSpec, max_witnesses: int = 1) -> MinimalityVerdict:
@@ -291,9 +321,10 @@ def is_minimal_bruteforce(spec: CodeSpec, max_witnesses: int = 1) -> MinimalityV
     a and -a.  The witnesses of a row are the rows b it covers, ascending;
     the scan stops once ``max_witnesses`` (at least one) are listed.
     Coverage is decided once per pair {c, -c}, on the zero bitsets of
-    :class:`_ZeroBitsets`, in blocks of representatives in ascending order.
-    A row's representative is never above it, so after a block every row
-    below the next block's first representative has all its witnesses.
+    :class:`_ZeroBitsets`, in steps over the representatives with
+    candidates in ascending order.  A row's representative is never above
+    it, so after a step every row below the next step's first
+    representative has all its witnesses.
     """
     if spec.m > BRUTEFORCE_MAX_M:
         raise CapacityError(f"brute-force oracle supports m <= {BRUTEFORCE_MAX_M}, got m={spec.m}")
@@ -301,8 +332,9 @@ def is_minimal_bruteforce(spec: CodeSpec, max_witnesses: int = 1) -> MinimalityV
     total = gf3.pow3(spec.m)
     n_rows = 9 * total
     negated = gf3.neg_perm(spec.m + 2)  # row of -c: the negated message; row 0 is the zero word
-    reps = np.flatnonzero(np.arange(n_rows) < negated)
-    bitsets = _ZeroBitsets(codeword_rows(spec, reps) == 0)
+    bitsets = _ZeroBitsets(spec)
+    reps = bitsets.reps
+    hit = np.flatnonzero(bitsets.cover.any(axis=1))  # the representatives with candidates
 
     def params(row: int) -> tuple[int, int, int]:
         """(u, r, v) of the message index (3u + r)*3^m + v."""
@@ -311,15 +343,15 @@ def is_minimal_bruteforce(spec: CodeSpec, max_witnesses: int = 1) -> MinimalityV
 
     pending = np.zeros(0, np.int64)  # covering row pairs a*n_rows + b not yet listed, ascending
     witnesses: list[CoverWitness] = []
-    for start in range(0, len(reps), _COVER_BLOCK):
-        a, b = bitsets.covered(start)
+    for start in range(0, len(hit), _COVER_ROWS):
+        a, b = bitsets.covered(hit[start : start + _COVER_ROWS])
         if not (a.size or pending.size):
             continue
         (a, neg_a), (b, neg_b) = ((reps[i], negated[reps[i]]) for i in (a, b))
         a_rows = np.concatenate([a, a, neg_a, neg_a])  # +/-a covering +/-b
         b_rows = np.concatenate([b, neg_b, b, neg_b])
         pending = np.sort(np.concatenate([pending, a_rows * n_rows + b_rows]))
-        end = reps[start + _COVER_BLOCK] if start + _COVER_BLOCK < len(reps) else n_rows
+        end = reps[hit[start + _COVER_ROWS]] if start + _COVER_ROWS < len(hit) else n_rows
         ready = pending[: np.searchsorted(pending, end * n_rows)][: max_witnesses - len(witnesses)]
         witnesses += [CoverWitness(params(key // n_rows), params(key % n_rows)) for key in ready.tolist()]
         if len(witnesses) >= max_witnesses:
@@ -550,6 +582,25 @@ _MAX_HEAVY = 25
 _LINE_BATCH = 1 << 18
 
 
+# The whole-space cover needs 3^m <= 4|P| and |P| <= 200 (25 heavy shifts
+# per member and their negations), so m <= 6: its cached add and sub
+# tables hold indices below 3^6 < 2^31, at most 2 * 3^12 int32 (4.3 MB).
+_MAX_POINTS = 2 * len(FAMILY_NAMES) * _MAX_HEAVY
+
+
+@lru_cache(maxsize=None)
+def _space_index_rows(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``gf3.add_perm_rows`` and ``sub_perm_rows`` of every point of F_3^m,
+    in int32: the rows the whole-space cover reads."""
+    if gf3.pow3(m) > 4 * _MAX_POINTS:
+        raise CapacityError(f"the whole-space cover needs 3^m <= {4 * _MAX_POINTS}, got m={m}")
+    points = np.arange(gf3.pow3(m))
+    tables = tuple(rows(m, points).astype(np.int32) for rows in (gf3.add_perm_rows, gf3.sub_perm_rows))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
 def heavy_points(spec: CodeSpec) -> np.ndarray:
     """P: the shifts w with |RD(F, w)| >= ceil(2*3^m / 5) for some member F,
     closed under negation, ascending.
@@ -595,6 +646,9 @@ def _line_keys(spec: CodeSpec, lines, points: np.ndarray):
     and a scalar per point at +/-p.  So per batch each member's RD is read
     once per argument, and the line kinds share those reads.
 
+    When ``points`` is all of F_3^m (the whole-space cover), the add and
+    sub rows come from the cached :func:`_space_index_rows`.
+
     Yields (points done, keys) per batch, a hit of comparison c at (v1, v2)
     keyed by its place in the scan order (see :func:`_key_layout`).
     Keys are below 20*3^(2m) < 2^63 for m <= 16, and operand sums
@@ -609,9 +663,13 @@ def _line_keys(spec: CodeSpec, lines, points: np.ndarray):
     j_all = np.arange(n)
     per_batch = max(1, _LINE_BATCH // (len(lines) * n))  # points per batch
     seg = min(n, _LINE_BATCH // len(lines))  # j per batch when one point's lines do not fit
+    space = _space_index_rows(m) if len(points) == n else None
     for i0 in range(0, len(points), per_batch):
         pts = points[i0 : i0 + per_batch]
-        add, sub = gf3.add_perm_rows(m, pts), gf3.sub_perm_rows(m, pts)  # p+j, p-j
+        if space is None:
+            add, sub = gf3.add_perm_rows(m, pts), gf3.sub_perm_rows(m, pts)  # p+j, p-j
+        else:
+            add, sub = (rows[i0 : i0 + per_batch] for rows in space)
         for j0 in range(0, n, seg):
             js = slice(j0, j0 + seg)
             a, s = add[:, js], sub[:, js]

@@ -12,6 +12,8 @@ from terncode.code import (
     cwe,
     cwe_csv,
     materialize,
+    neg_dot_table,
+    pair_rows,
     result_json_obj,
     validate,
     weight_distribution,
@@ -137,10 +139,26 @@ def test_codeword_matrix_rows_are_materialized_words():
         assert np.array_equal(codeword_rows(spec, picked), words[picked])
 
 
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_neg_dot_table_is_the_negated_dot_matrix(m):
+    table = neg_dot_table(m)
+    assert table.dtype == np.int8 and table.shape == (3**m, 3**m - 1)
+    assert np.array_equal(table, (-dot_matrix(m)[:, 1:].astype(np.int16)) % 3)
+    assert neg_dot_table(m) is table and not table.flags.writeable  # built once per m
+
+
+def test_pair_rows_are_the_top_message_words():
+    spec = random_valid_spec(3, np.random.default_rng(8))
+    for ur, row in enumerate(pair_rows(spec)):
+        assert np.array_equal(row, materialize(spec, *divmod(ur, 3), 0).word)
+
+
 def test_codeword_matrix_capacity():
     spec = random_valid_spec(6, np.random.default_rng(4))
     with pytest.raises(CapacityError):
         codeword_rows(spec, [0])
+    with pytest.raises(CapacityError):
+        neg_dot_table(6)
 
 
 def test_linearity_of_codewords_exhaustive():

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from terncode import gf3, minimality
-from terncode.code import codeword_rows
 from terncode.errors import CapacityError, ConsistencyError
 from terncode.minimality import (
     ALL_CONDITIONS,
@@ -202,37 +201,51 @@ def _assert_bruteforce_matches_the_byte_major_scan(specs):
 
 def test_bruteforce_matches_the_byte_major_scan():
     rng = np.random.default_rng(44)
-    specs = [sparse_random_spec(4, rng), sparse_random_spec(4, rng, support=1)]
-    specs += [random_valid_spec(4, rng), sparse_random_spec(5, rng)]
-    # minimal pairs at m = 5: every row's AND is over a sample of its ~80
-    # zero coordinates, so every candidate must be verified away
+    # m = 2: 8 coordinates, fewer than the anchors, so every AND is exact
+    specs = [random_valid_spec(2, rng), sparse_random_spec(2, rng, support=1)]
+    specs += [sparse_random_spec(4, rng), sparse_random_spec(4, rng, support=1)]
+    specs += [random_valid_spec(4, rng), sparse_random_spec(5, rng), sparse_random_spec(5, rng, support=1)]
+    # minimal pairs at m = 5: every row's AND is over its zeros among the
+    # anchors, so every candidate must be verified away
     minimal = [random_valid_spec(5, rng) for _ in range(2)]
     specs += [*minimal, random_weight_symmetric_spec(4, rng), random_weight_symmetric_spec(5, rng)]
+    # few-coordinate pairs: words that vanish on whole cosets of coordinates
+    specs += [junta_spec(4, rng), junta_spec(5, rng)]
     specs.append(shell_spec(5, 2, 4))
     _assert_bruteforce_matches_the_byte_major_scan(specs)
-    assert not is_minimal_bruteforce(specs[0]).minimal
+    assert not any(is_minimal_bruteforce(spec).minimal for spec in specs[:2])
+    assert not is_minimal_bruteforce(specs[2]).minimal
+    assert not any(is_minimal_bruteforce(spec).minimal for spec in specs[-3:-1])
     assert all(is_minimal_bruteforce(spec).minimal for spec in minimal)
 
 
 def test_bruteforce_verifies_every_sampled_candidate(monkeypatch):
-    # one zero coordinate per row: the AND keeps every word vanishing there,
-    # and only the verification on all of zero(a) removes the false ones
-    monkeypatch.setattr(minimality, "_COVER_SAMPLE", 1)
+    # two anchors: a row's AND runs over its zeros among them, and keeps
+    # every word vanishing there; only the verification on all of zero(a)
+    # removes the false candidates
+    monkeypatch.setattr(minimality, "_COVER_ANCHORS", 2)
     rng = np.random.default_rng(45)
     specs = [random_valid_spec(3, rng), sparse_random_spec(4, rng), random_valid_spec(4, rng)]
     specs += [random_weight_symmetric_spec(4, rng), sparse_random_spec(5, rng)]
-    negated = gf3.neg_perm(5)
-    reps = np.flatnonzero(np.arange(len(negated)) < negated)  # the oracle's rows at m = 3
-    bitsets = minimality._ZeroBitsets(codeword_rows(specs[0], reps) == 0)
-    candidates = covering = 0
-    for start in range(0, len(reps), minimality._COVER_BLOCK):
-        sample, n_zero = bitsets.sample(start)
-        assert (n_zero > 1).all()  # every row's AND is over a sample
-        and_of_sample = np.bitwise_and.reduce(bitsets.z[sample.T], axis=0)
-        candidates += np.unpackbits(and_of_sample.view(np.uint8)).sum() - len(sample)  # own bits out
-        covering += len(bitsets.covered(start)[0])
+    bitsets = minimality._ZeroBitsets(specs[0])
+    n_zero = (all_codewords(specs[0])[bitsets.reps] == 0).sum(axis=1)
+    assert not bitsets.exact and (n_zero > 2).all()  # every row's AND is over a sample
+    candidates = np.unpackbits(bitsets.cover.view(np.uint8)).sum()  # own bits cleared
+    covering = len(bitsets.covered(np.arange(len(bitsets.reps)))[0])
     assert candidates > 10 * covering
     _assert_bruteforce_matches_the_byte_major_scan(specs)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_representatives_are_the_rows_below_their_negation(m):
+    _, reps, own, not_own = minimality._representatives(m)
+    negated = gf3.neg_perm(m + 2)
+    assert np.array_equal(reps, np.flatnonzero(np.arange(len(negated)) < negated))
+    # the own bit of representative i: bit i % 64 of word i // 64 of its row
+    bits = np.zeros((len(reps), -(-len(reps) // 64)), np.uint64)
+    bits.reshape(-1)[own] = ~not_own
+    assert np.array_equal(np.unpackbits(bits.view(np.uint8), axis=1, bitorder="little")[:, : len(reps)],
+                          np.eye(len(reps), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("m", [4, 5])
@@ -543,6 +556,22 @@ def test_whole_space_budget_counts_points(monkeypatch):
     with pytest.raises(CapacityError, match="after 2/27 lines v1 = p") as exc:
         spectral_check(spec, budget_seconds=2.5)
     assert exc.value.completed_fraction == 2 / 27
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6])
+def test_whole_space_rows_are_the_full_add_and_sub_tables(m):
+    add, sub = minimality._space_index_rows(m)
+    points = np.arange(3**m)
+    assert add.dtype == sub.dtype == np.int32
+    assert np.array_equal(add, gf3.add_perm_rows(m, points))
+    assert np.array_equal(sub, gf3.sub_perm_rows(m, points))
+    assert minimality._space_index_rows(m)[0] is add  # built once per m
+
+
+def test_whole_space_rows_stop_where_the_cover_cannot_start():
+    # the cover needs 3^m <= 4|P| and |P| <= 200: never at m = 7
+    with pytest.raises(CapacityError):
+        minimality._space_index_rows(7)
 
 
 def test_whole_space_scan_matches_naive_reference():

@@ -36,6 +36,14 @@ def run_script(name: str, *args: str, timeout: float = 300) -> subprocess.Comple
             ("--per-m", "10", "--m", "2", "3", "--seed", "1"),
             r"^0 mismatches in \d+\.\ds$",
         ),
+        # from m = 4 on, few-coordinate pairs too: the oracle's witnesses at
+        # m = 4-5 come from them, since random pairs there are minimal
+        (
+            "cross_oracle_experiment.py",
+            ("--per-m", "3", "--m", "4", "--seed", "1"),
+            r"^m=4: random \d minimal, \d non-minimal; few-coordinate 0 minimal, 3 non-minimal; "
+            r"verdicts and CWEs checked\n0 mismatches in \d+\.\ds$",
+        ),
     ],
 )
 def test_script_runs(name, args, summary):
