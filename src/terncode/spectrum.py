@@ -14,11 +14,19 @@ an exact integer comparison against 2*3^m.  A ``CountSpectrum`` stores two
 int32 arrays, N1 and the doubled real part; N2 and N0 are derived on
 demand.
 
-``count_spectra`` computes the counts by a radix-3 decimation butterfly on
-the counts themselves, O(m * 3^m) additions, integer-only, for several
-functions at once (``fast_count_spectrum`` is its one-function form).  Each
-entry holds (N1, N2) of the points gathered so far.  Stage s runs in the
-narrowest unsigned dtype that holds 3^s, from uint8 up; up to 2^17
+``count_spectra`` takes one of two paths per call.  When every member is
+constant on the Hamming-weight classes (F(x) = F_j for wt(x) = j, as for
+the paper's shell pairs), the counts are constant on the weight classes of
+the shift too: N_lambda(i) = sum_j D_m[i, j, (F_j - lambda) mod 3], where
+D_m[i, j, c] counts the x of weight j with w.x = c for a w of weight i (a
+Krawtchouk-type table of (m+1)^2 * 3 exact int64 entries, built once per
+m).  The checks run on the m + 1 class values, and a digit recursion fills
+the dense rows: O(3^m) copies, no thread and no workspace.  Any other call
+runs a radix-3 decimation butterfly on the counts themselves, O(m * 3^m)
+additions, integer-only, for several functions at once
+(``fast_count_spectrum`` is the one-function form of ``count_spectra``).
+Each entry holds (N1, N2) of the points gathered so far.  Stage s runs in
+the narrowest unsigned dtype that holds 3^s, from uint8 up; up to 2^17
 entries, the members of a call share each stage.  Read transposed, the
 table puts its low ceil(m/2) digits on top, so their stages walk long
 contiguous runs; one transposing copy restores the index order for the
@@ -26,14 +34,15 @@ stages on the high digits.  The last stage writes the int32 counts, and
 the doubled real part is then written over the N2 row.  A call with more
 members than one butterfly holds (m >= 10 for the four family members)
 runs its butterflies on min(2, usable CPUs, butterflies) threads, each
-with its own workspace.  The test suite checks it bit-exactly against
-direct per-shift counting.
+with its own workspace.  The test suite checks both paths bit-exactly
+against direct per-shift counting and against each other.
 """
 
 from __future__ import annotations
 
 import os
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,30 +150,42 @@ class CountSpectrum:
     __slots__ = ("m", "n1", "rd")
 
     def __init__(self, m: int, n1, n2):
-        # n2 is copied, since rd is written over it
-        self._keep(m, np.asarray(n1, dtype=np.int32), np.array(n2, dtype=np.int32))
+        n1, n2 = np.asarray(n1), np.asarray(n2)
+        if n1.dtype.kind not in "iu" or n2.dtype.kind not in "iu":
+            raise ValueError("counts must be integer arrays")
+        if not (n1.shape == n2.shape == (gf3.pow3(m),)):
+            raise ValueError("count arrays must each have 3^m entries")
+        # checked in the given dtype: the int32 cast would wrap a count past
+        # 2^31; n2 is copied, since rd is written over it
+        _check_bounds(gf3.pow3(m), n1, n2)
+        self._keep(m, n1.astype(np.int32, copy=False), n2.astype(np.int32))
 
     @classmethod
     def _over_n2(cls, m: int, n1: np.ndarray, n2: np.ndarray) -> "CountSpectrum":
         """The spectrum of the int32 rows (N1, N2), writing rd over ``n2``."""
+        _check_bounds(gf3.pow3(m), n1, n2)
         sp = cls.__new__(cls)
         sp._keep(m, n1, n2)
         return sp
 
+    @classmethod
+    def _checked(cls, m: int, n1: np.ndarray, rd: np.ndarray) -> "CountSpectrum":
+        """The spectrum of the int32 rows (N1, rd), whose counts were checked by class."""
+        sp = cls.__new__(cls)
+        sp._set(m, n1, rd)
+        return sp
+
     def _keep(self, m: int, n1: np.ndarray, rd: np.ndarray) -> None:
+        """Keep N1 and rd, computed in place over the range-checked int32 row N2."""
         total = gf3.pow3(m)
-        if not (n1.shape == rd.shape == (total,)):
-            raise ValueError("count arrays must each have 3^m entries")
-        if n1.min() < 0 or rd.min() < 0:
-            raise ConsistencyError("count out of range: N1 or N2 negative")
-        # each count at most 3^m, so their int32 sum cannot wrap
-        if n1.max() > total or rd.max() > total:
-            raise ConsistencyError("count out of range: N1 or N2 > 3^m")
-        rd += n1  # N1 + N2, in place over N2
+        rd += n1  # N1 + N2; each count at most 3^m, so the int32 sum cannot wrap
         if rd.max() > total:
             raise ConsistencyError("count out of range: N1 + N2 > 3^m")
         rd *= -3  # 2*Re(F_hat(w)) = 2*3^m - 3*(N1 + N2)
         rd += 2 * total
+        self._set(m, n1, rd)
+
+    def _set(self, m: int, n1: np.ndarray, rd: np.ndarray) -> None:
         n1.setflags(write=False)
         rd.setflags(write=False)
         self.m = m
@@ -184,6 +205,14 @@ class CountSpectrum:
     def n0(self) -> np.ndarray:
         """N0 = 3^m - N1 - N2 = (3^m + rd)/3 per shift."""
         return (gf3.pow3(self.m) + self.rd.astype(np.int64)) // 3
+
+
+def _check_bounds(total: int, n1: np.ndarray, n2: np.ndarray) -> None:
+    """Raise ``ConsistencyError`` unless every count of N1 and N2 lies in [0, ``total``]."""
+    if int(n1.min()) < 0 or int(n2.min()) < 0:
+        raise ConsistencyError("count out of range: N1 or N2 negative")
+    if int(n1.max()) > total or int(n2.max()) > total:
+        raise ConsistencyError("count out of range: N1 or N2 > 3^m")
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +295,30 @@ def _thread_count(batches: int) -> int:
 
 
 def count_spectra(members) -> list[CountSpectrum]:
+    """Count spectra of functions on one F_3^m, as dense read-only int32 rows.
+
+    When every member is constant on the Hamming-weight classes, so is its
+    spectrum, and the counts come from the m + 1 class values (see
+    ``_class_spectra``).  Otherwise all members run the count butterfly of
+    ``_butterfly_spectra``.  The choice is made per call, for all members
+    or none, and a table off the weight classes is turned away by a short
+    prefix compare; the spectra are the same bit for bit either way.
+
+    A count that breaks sum_w N_lambda(w) = 3^(m-1)*(3^m - 1) +
+    3^m*[F(0) = lambda] (lambda = 1, 2), or leaves [0, 3^m], raises
+    ``ConsistencyError``.
+    """
+    members = list(members)
+    m = members[0].m
+    if any(F.m != m for F in members):
+        raise ValueError("count_spectra needs functions of one dimension")
+    values = _class_values(members)
+    if values is not None:
+        return _class_spectra(m, values)
+    return _butterfly_spectra(members)
+
+
+def _butterfly_spectra(members: list) -> list[CountSpectrum]:
     """Count spectra of functions on one F_3^m by a count-domain butterfly.
 
     Each butterfly entry holds the counts (N1, N2) of F(x) - w.x over the
@@ -285,15 +338,11 @@ def count_spectra(members) -> list[CountSpectrum]:
     batch.  The spectra come back in member order, and the first failing
     member's exception is raised in the caller after the helper has ended.
 
-    A count that breaks sum_w N_lambda(w) = 3^(m-1)*(3^m - 1) +
-    3^m*[F(0) = lambda] (lambda = 1, 2) raises ``ConsistencyError``.  The
-    sums are taken mod 2^32, one uint32 reduction per row; a single count
-    off by less than 2^32 still breaks them.
+    The sum rule of ``count_spectra`` is checked mod 2^32, one uint32
+    reduction per row; a single count off by less than 2^32 still breaks
+    it.
     """
-    members = list(members)
     m = members[0].m
-    if any(F.m != m for F in members):
-        raise ValueError("count_spectra needs functions of one dimension")
     n = gf3.pow3(m)
     steps = _plan(m)
     per = max(1, min(4, _BATCH_ENTRIES // n))
@@ -337,7 +386,6 @@ def _butterfly(batch: list, out: np.ndarray, work: np.ndarray, steps: list[tuple
     m = batch[0].m
     n, L = gf3.pow3(m), (m + 1) // 2
     lo, hi = gf3.pow3(L), gf3.pow3(m - L)
-    base = 3 ** (m - 1) * (n - 1)
     shape = out.shape
     bufs = (work, out) if len(steps) % 2 else (out, work)
     x = _leading(bufs[0], np.uint8, shape)
@@ -356,12 +404,159 @@ def _butterfly(batch: list, out: np.ndarray, work: np.ndarray, steps: list[tuple
         x = y
     spectra = []
     for F, counts, sums in zip(batch, out, x.sum(axis=2, dtype=np.uint32).tolist()):
-        if sums != [(base + n * (int(F.table[0]) == value)) % 2**32 for value in (1, 2)]:
-            raise ConsistencyError(
-                "count spectrum breaks sum_w N_lambda(w) = 3^(m-1)*(3^m - 1) + 3^m*[F(0) = lambda]"
-            )
+        if sums != [rule % 2**32 for rule in _sum_rule(m, int(F.table[0]))]:
+            raise ConsistencyError(_SUM_RULE_BROKEN)
         spectra.append(CountSpectrum._over_n2(m, counts[0], counts[1]))
     return spectra
+
+
+def _sum_rule(m: int, f0: int) -> list[int]:
+    """sum_w N_lambda(w) for lambda = 1, 2, of a function with F(0) = ``f0``."""
+    n = gf3.pow3(m)
+    return [3 ** (m - 1) * (n - 1) + n * (f0 == value) for value in (1, 2)]
+
+
+_SUM_RULE_BROKEN = "count spectrum breaks sum_w N_lambda(w) = 3^(m-1)*(3^m - 1) + 3^m*[F(0) = lambda]"
+
+
+# ---------------------------------------------------------------------------
+# Weight-symmetric transforms
+# ---------------------------------------------------------------------------
+
+# A table is first compared with its class values on the 3^4 indices below
+# 3^4, which turns away a table off the weight classes in a few us.
+_PREFIX_DIGITS = 4
+
+
+@lru_cache(maxsize=None)
+def _class_representatives(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The index (3^j - 1)/2 of each weight class j, whose j low digits are 1,
+    and that of the class of each index below 3^min(m, ``_PREFIX_DIGITS``)."""
+    reps = (3 ** np.arange(m + 1) - 1) // 2
+    prefix = reps[gf3.weights_table(min(m, _PREFIX_DIGITS))]
+    reps.setflags(write=False)
+    prefix.setflags(write=False)
+    return reps, prefix
+
+
+def _class_values(members: list) -> np.ndarray | None:
+    """The (members, m + 1) int8 class values F_j of members that are all
+    constant on the weight classes, or None.
+
+    A member is compared with its value at the class representative of each
+    index, first on a short prefix, then in full against the table that
+    ``_fill_by_class`` builds from the class values.
+    """
+    m = members[0].m
+    reps, prefix = _class_representatives(m)
+    for F in members:
+        if (F.table[: prefix.size] != F.table[prefix]).any():
+            return None
+    values = np.stack([F.table[reps] for F in members])
+    tables = _fill_by_class(np.empty((len(members), gf3.pow3(m)), np.int8), values)
+    if all(np.array_equal(F.table, table) for F, table in zip(members, tables)):
+        return values
+    return None
+
+
+def _fill_by_class(out: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Write values[..., wt(x)] at every index x of the last axis of ``out``; return ``out``.
+
+    A digit recursion in the manner of ``gf3._stack_digits``, with no gather
+    through a weights table.  Let A_k(h) be the 3^k entries values[..., h +
+    wt(y)], y < 3^k.  It is kept in the block of 3^k entries whose m - k
+    high digits are h ones above zeros, block s = (3^(m-k) - 3^(m-k-h))/2.
+    That block begins the block s/3 of 3^(k+1) entries, which must hold
+    A_(k+1)(h) = (A_k(h), A_k(h+1), A_k(h+1)): so each step copies A_k(h+1)
+    into blocks s + 1 and s + 2.  No copy writes a block still to be read,
+    and when h + 1 = m - k block s + 1 already holds A_k(h+1).
+
+    Over several rows, the source and destination views of a copy span
+    overlapping address ranges, and numpy then copies the source into a
+    temporary first.  So blocks of ``_ROW_COPY_MIN`` entries or more are
+    copied one row at a time.
+    """
+    m = values.shape[-1] - 1
+    n = gf3.pow3(m)
+    rows = out.reshape(-1, n)
+    for h in range(m + 1):
+        out[..., (n - gf3.pow3(m - h)) // 2] = values[..., h]
+    for k in range(m):
+        size, high = gf3.pow3(k), gf3.pow3(m - k)
+        parts = (rows,) if size < _ROW_COPY_MIN else rows[:, None]
+        for h in range(m - k):
+            src = (high - high // 3 ** (h + 1)) // 2 * size
+            dst = ((high - high // 3**h) // 2 + 1) * size
+            lo = dst + size * (dst == src)
+            for part in parts:
+                dest = part[:, lo : dst + 2 * size]
+                np.copyto(dest.reshape(len(part), -1, size), part[:, None, src : src + size])
+    return out
+
+
+# Blocks this long are copied one row at a time.  A shorter block is copied
+# over all rows at once, through a temporary of at most 8 rows * 3^8 int32
+# (210 kB) for the four members' N1 and rd; that took less time at m = 8-12
+# than a call per row from 3^4 or 3^6 on, or none from 3^20.
+_ROW_COPY_MIN = 3**8
+
+
+@lru_cache(maxsize=None)
+def _dot_counts(m: int) -> np.ndarray:
+    """D[i, j, c] = #{x : wt(x) = j, w.x = c} for any w of weight i; int64, shape (m+1, m+1, 3).
+
+    Of the j nonzero digits of x, t meet the support of w and j - t miss it:
+    C(i, t)*C(m - i, j - t)*2^(j - t) ways.  The t products w_k*x_k run
+    over {1, 2}^t, and A(t, c) = (2^t + (-1)^t*(2 if c = 0 else -1))/3 of
+    those sum to c.  Every term is a count of points, at most 3^m.
+    """
+    r = np.arange(m + 1)
+    binom = np.zeros((m + 1, m + 1), np.int64)  # C(a, b), 0 for b > a
+    binom[:, 0] = 1
+    for a in range(1, m + 1):
+        binom[a, 1:] = binom[a - 1, 1:] + binom[a - 1, :-1]
+    pow2 = 2**r
+    a_tc = (pow2[:, None] + (-1) ** r[:, None] * np.array([2, -1, -1])) // 3
+    off = np.clip(r[None, :] - r[:, None], 0, None)  # [t, j] = j - t, or 0 below j = t
+    outside = binom[(m - r)[:, None, None], off] * pow2[off] * (r[None, :] >= r[:, None])  # [i, t, j]
+    table = np.einsum("itj,tc->ijc", binom[:, :, None] * outside, a_tc)
+    table.setflags(write=False)
+    return table
+
+
+def _class_counts(values: np.ndarray) -> np.ndarray:
+    """(members, 2, m + 1) int64 counts N_lambda(i), lambda = 1, 2, per weight class i of the shift.
+
+    N_lambda(i) = sum_j D[i, j, (F_j - lambda) mod 3] with D = ``_dot_counts``.
+    """
+    m = values.shape[-1] - 1
+    lam = np.array([1, 2])[:, None]
+    counts = _dot_counts(m)[:, np.arange(m + 1), (values[:, None, :] - lam) % 3]  # [i, member, lambda, j]
+    return counts.sum(axis=-1).transpose(1, 2, 0)
+
+
+def _class_spectra(m: int, values: np.ndarray) -> list[CountSpectrum]:
+    """The spectra of members constant on the weight classes, from their class values.
+
+    The spectrum is constant on the classes of the shift w, so N1 and N2
+    are computed once per class (``_class_counts``).  The range checks and
+    the sum rule run on these m + 1 values, each class weighted by its size
+    2^i*C(m, i) in the sum; every class is nonempty, so that checks exactly
+    what the dense checks would.  N1 and rd are then filled into the dense
+    int32 rows by ``_fill_by_class``.  No thread and no workspace.
+    """
+    n = gf3.pow3(m)
+    sizes = np.array([gf3.count_vectors_of_weight(m, i) for i in range(m + 1)], np.int64)
+    rows = np.empty((len(values), 2, m + 1), np.int32)
+    for (n1, n2), f0, row in zip(_class_counts(values), values[:, 0], rows):
+        if [int(s) for s in (n1 @ sizes, n2 @ sizes)] != _sum_rule(m, int(f0)):
+            raise ConsistencyError(_SUM_RULE_BROKEN)
+        _check_bounds(n, n1, n2)
+        if int((n1 + n2).max()) > n:
+            raise ConsistencyError("count out of range: N1 + N2 > 3^m")
+        row[0], row[1] = n1, 2 * n - 3 * (n1 + n2)
+    out = _fill_by_class(np.empty((len(values), 2, n), np.int32), rows)
+    return [CountSpectrum._checked(m, n1, rd) for n1, rd in out]
 
 
 def fast_count_spectrum(F: TernaryFunction) -> CountSpectrum:

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from terncode import gf3
+from terncode import gf3, spectrum
 from terncode.code import cwe, weight_distribution
 from terncode.errors import CapacityError
 from terncode.hwconstruct import HWParams, build_spec
@@ -62,10 +62,20 @@ def test_perm_tables_consistency():
         assert table.shape == (3, 1) and not table.any()
 
 
-def test_pipeline_builds_no_digits_table():
-    """No path that grows with m builds the (m, 3^m) digits table, even from cold caches."""
+def test_pipeline_builds_no_digits_table(monkeypatch):
+    """No path that grows with m builds the (m, 3^m) digits table, even from cold caches.
+
+    The weight-symmetric transform starts no thread either, at m = 11 too,
+    where the butterfly would run on two.
+    """
     for table in (gf3.digits_table, gf3.weights_table, gf3.neg_perm):
         table.cache_clear()
+
+    def no_thread(*args, **kwargs):
+        raise AssertionError("the weight-symmetric transform started a thread")
+
+    monkeypatch.setattr(spectrum.threading, "Thread", no_thread)
+    spectral_check(shell_spec(11, 2, 4))
     spec = build_spec(HWParams(9, 2, 4))
     spectral_check(spec, per_condition=True)
     weight_distribution(spec)

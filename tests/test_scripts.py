@@ -6,7 +6,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from terncode import spectrum
+from terncode.code import cwe, validate
+from terncode.spectrum import TernaryFunction
+
+from conftest import random_weight_symmetric_spec, shell_spec
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,6 +51,15 @@ def run_script(name: str, *args: str, timeout: float = 300) -> subprocess.Comple
             r"^m=4: random \d minimal, \d non-minimal; few-coordinate 0 minimal, 3 non-minimal; "
             r"verdicts and CWEs checked\n0 mismatches in \d+\.\ds$",
         ),
+        # weight-symmetric pairs take the weight-class transform; at m = 5 they
+        # give minimal and non-minimal codes
+        (
+            "cross_oracle_experiment.py",
+            ("--per-m", "12", "--m", "5", "--seed", "1"),
+            r"^m=5: weight-symmetric [1-9]\d* minimal, [1-9]\d* non-minimal\n"
+            r"m=5: random 12 minimal, 0 non-minimal; few-coordinate 0 minimal, 12 non-minimal; "
+            r"verdicts and CWEs checked\n0 mismatches in \d+\.\ds$",
+        ),
     ],
 )
 def test_script_runs(name, args, summary):
@@ -76,3 +92,35 @@ def test_max_rss_enforces_its_limit(limit, code):
 def test_max_rss_passes_on_the_command_exit_code():
     proc = run_script("max_rss.py", "--limit-gib", "4", "--", sys.executable, "-c", "raise SystemExit(3)", timeout=60)
     assert proc.returncode == 3
+
+
+@pytest.mark.parametrize("m, a, b, c", [(4, 0, 1, 1), (4, 3, 1, 2), (5, 2, 4, 1), (5, 4, 0, 2)])
+def test_transvect_keeps_the_cwe_off_the_weight_classes(tmp_path, m, a, b, c):
+    specs = [shell_spec(m, 2, 4), random_weight_symmetric_spec(m, np.random.default_rng(m + a))]
+    for k, spec in enumerate(specs):
+        moved = []
+        for name, F in (("f", spec.f), ("g", spec.g)):
+            path = tmp_path / f"{name}{k}.txt"
+            path.write_text(F.to_text())
+            proc = run_script("transvect.py", "--a", str(a), "--b", str(b), "--c", str(c), str(path), timeout=60)
+            assert proc.returncode == 0, proc.stderr
+            moved.append(TernaryFunction.from_text(proc.stdout))
+        # the image index of x: digit a of x becomes x_a + c*x_b
+        digits = np.array([[x // 3**i % 3 for i in range(m)] for x in range(3**m)])
+        digits[:, a] = (digits[:, a] + c * digits[:, b]) % 3
+        image = digits @ 3 ** np.arange(m)
+        assert np.array_equal(moved[0].table, spec.f.table[image])
+        assert np.array_equal(moved[1].table, spec.g.table[image])
+        # an equivalent code, no longer weight-symmetric: its spectra take the butterfly
+        spec_t = validate(m, *moved)
+        assert spectrum._class_values(list(spec_t.family.values())) is None
+        assert cwe(spec_t) == cwe(spec)
+
+
+@pytest.mark.parametrize("args", [("--a", "1", "--b", "1"), ("--a", "0", "--b", "4")])
+def test_transvect_rejects_bad_digits(tmp_path, args):
+    path = tmp_path / "f.txt"
+    path.write_text(shell_spec(4, 2, 4).f.to_text())
+    proc = run_script("transvect.py", *args, str(path), timeout=60)
+    assert proc.returncode == 2
+    assert "--a and --b must be distinct digits in [0, 4)" in proc.stderr

@@ -3,11 +3,16 @@ import threading
 import numpy as np
 import pytest
 
-from terncode import gf3, spectrum
+from terncode import gf3, hwconstruct, kraw, spectrum
 from terncode.errors import CapacityError, ConsistencyError
 from terncode.spectrum import CountSpectrum, TernaryFunction, combine, count_spectra, fast_count_spectrum
 
-from conftest import dot_matrix, naive_count_spectrum, parseval_sum
+from conftest import dot_matrix, naive_count_spectrum, parseval_sum, random_weight_symmetric_spec, shell_spec
+
+
+def _butterfly(F):
+    """The spectrum of F by the count butterfly, also for a weight-symmetric F."""
+    return spectrum._butterfly_spectra([F])[0]
 
 
 def _zeros(m):
@@ -68,7 +73,7 @@ def test_linear_function_values():
 
 
 def test_zero_function_spectrum():
-    sp = fast_count_spectrum(_zeros(2))
+    sp = _butterfly(_zeros(2))
     assert (sp.n0[0], sp.n1[0], sp.n2[0]) == (9, 0, 0)
     for w in range(1, 9):
         assert (sp.n0[w], sp.n1[w], sp.n2[w]) == (3, 3, 3)
@@ -136,7 +141,7 @@ def test_count_spectra_equal_naive_at_dtype_boundaries(m):
 def test_count_spectra_past_uint16(m):
     # m = 10 transposes in uint8 and widens to uint16 after it; m = 11 runs a
     # uint16 stage before the transpose and ends its uint16 stages at 3^10
-    for c, sp in enumerate(count_spectra([_constant(m, c) for c in range(3)])):
+    for c, sp in enumerate(spectrum._butterfly_spectra([_constant(m, c) for c in range(3)])):
         counts = np.stack([sp.n0, sp.n1, sp.n2])
         assert counts[:, 0].tolist() == [3**m if lam == c else 0 for lam in range(3)]
         assert (counts[:, 1:] == 3 ** (m - 1)).all()
@@ -267,7 +272,7 @@ def test_one_cpu_starts_no_thread(monkeypatch):
 def test_zero_function_m12_hits_every_stage_bound():
     # every stage of the zero function's butterfly reaches |a| = 3^k at w = 0
     m = 12
-    sp = fast_count_spectrum(_zeros(m))
+    sp = _butterfly(_zeros(m))
     assert sp.n0[0] == 3**m and sp.rd[0] == 2 * 3**m
     assert sp.n1[0] == sp.n2[0] == 0
     assert (sp.n1[1:] == 3 ** (m - 1)).all() and (sp.n2[1:] == 3 ** (m - 1)).all()
@@ -324,6 +329,22 @@ def test_count_spectrum_rejects_counts_whose_int32_sum_wraps():
         CountSpectrum(2, big, big)
 
 
+def test_count_spectrum_range_checks_precede_the_int32_cast():
+    # 2^32 + 1 wraps to 1 in int32, and would pass the range checks after the cast
+    with pytest.raises(ConsistencyError, match=r"N1 or N2 > 3\^m"):
+        CountSpectrum(1, np.array([2**32 + 1, 1, 1]), np.array([1, 1, 1]))
+    with pytest.raises(ConsistencyError, match=r"N1 or N2 negative"):
+        CountSpectrum(1, np.array([1, 1, 1]), np.array([-(2**32) + 1, 1, 1]))
+    # a cast would truncate 1.7 to 1
+    for counts in ([1.7, 1, 1], np.array([1.0, 1.0, 1.0]), [True, False, True]):
+        with pytest.raises(ValueError, match="counts must be integer arrays"):
+            CountSpectrum(1, counts, [1, 1, 1])
+    # other integer dtypes are accepted, unsigned and narrow ones too
+    sp = CountSpectrum(1, np.array([0, 1, 2], np.uint64), np.array([0, 1, 0], np.int8))
+    assert sp.n1.tolist() == [0, 1, 2] and sp.n2.tolist() == [0, 1, 0]
+    assert sp.n1.dtype == sp.rd.dtype == np.int32
+
+
 def test_is_linear_coset_free():
     # F equals the functional w . x exactly where its doubled real part is 2*3^m
     def linear_coset_free(F):
@@ -343,3 +364,130 @@ def test_combine_matches_pointwise():
     fg = combine(1, 2, f, g)
     for x in range(27):
         assert fg.value(x) == (f.value(x) + 2 * g.value(x)) % 3
+
+
+# ---------------------------------------------------------------------------
+# Weight-symmetric transforms
+# ---------------------------------------------------------------------------
+
+
+def _by_weight(m, values):
+    """The function x -> values[wt(x)]."""
+    return TernaryFunction(m, np.asarray(values)[gf3.weights_table(m)])
+
+
+def _butterfly_calls(monkeypatch):
+    """Wrap ``_butterfly_spectra`` to record each call's member count."""
+    butterfly, calls = spectrum._butterfly_spectra, []
+
+    def record(members):
+        calls.append(len(members))
+        return butterfly(members)
+
+    monkeypatch.setattr(spectrum, "_butterfly_spectra", record)
+    return calls
+
+
+def _assert_class_path_is_exact(monkeypatch, members):
+    """count_spectra takes the class path and equals the butterfly bit for bit."""
+    want = spectrum._butterfly_spectra(members)
+    calls = _butterfly_calls(monkeypatch)
+    got = count_spectra(members)
+    assert calls == []
+    assert len(got) == len(want) == len(members)
+    for a, b in zip(got, want):
+        for arr_a, arr_b in ((a.n1, b.n1), (a.n2, b.n2), (a.rd, b.rd)):
+            assert arr_a.dtype == arr_b.dtype == np.int32
+            assert not arr_a.flags.writeable and not arr_b.flags.writeable
+            assert np.array_equal(arr_a, arr_b)
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("m", range(1, 10))
+def test_class_path_equals_butterfly_on_random_weight_symmetric(monkeypatch, m):
+    rng = np.random.default_rng(80 + m)
+    # any class values, F(0) != 0 included, then ten valid pairs (none exists at m = 1)
+    _assert_class_path_is_exact(monkeypatch, [_by_weight(m, rng.integers(0, 3, m + 1)) for _ in range(5)])
+    for _ in range(10 if m > 1 else 0):
+        spec = random_weight_symmetric_spec(m, rng)
+        _assert_class_path_is_exact(monkeypatch, list(spec.family.values()))
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_class_path_equals_butterfly_on_shells(monkeypatch, m):
+    # m = 10 and 11 run the butterfly on two threads, m = 12 in uint32 stages
+    _assert_class_path_is_exact(monkeypatch, list(shell_spec(m, 2, 4).family.values()))
+
+
+@pytest.mark.parametrize("m", [9, 10])
+def test_class_path_equals_butterfly_on_admissible_windows(monkeypatch, m):
+    for p in hwconstruct.admissible_params(m):
+        _assert_class_path_is_exact(monkeypatch, list(hwconstruct.build_spec(p).family.values()))
+
+
+@pytest.mark.parametrize("index", [1, 40, 80, 3**7 - 1])
+def test_one_entry_off_the_classes_takes_the_butterfly(monkeypatch, index):
+    # inside the 3^4 prefix, and past it; the other members stay weight-symmetric
+    m = 7
+    f, *others = shell_spec(m, 2, 4).family.values()
+    table = f.table.copy()
+    table[index] = (table[index] + 1) % 3
+    members = [TernaryFunction(m, table), *others]
+    assert spectrum._class_values(members) is None
+    calls = _butterfly_calls(monkeypatch)
+    for F, sp in zip(members, count_spectra(members), strict=True):
+        _assert_same_spectrum(sp, naive_count_spectrum(F))
+    assert calls == [len(members)]
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_dot_counts_equal_brute_force(m):
+    table = spectrum._dot_counts(m)
+    assert table.dtype == np.int64 and table.shape == (m + 1, m + 1, 3)
+    weights, dots = gf3.weights_table(m), dot_matrix(m)
+    for w in range(3**m):  # every w, not only the class representatives
+        for j in range(m + 1):
+            counts = np.bincount(dots[w][weights == j], minlength=3)
+            assert table[weights[w], j].tolist() == counts.tolist()
+
+
+@pytest.mark.parametrize("m", [1, 2, 5, 9, 16])
+def test_dot_counts_real_part_is_krawtchouk(m):
+    # 2*Re(zeta^v * sum_{wt(x) = j} zeta^(-w.x)) = c(v)*K_j(wt(w); m), c(0) = 2, c(1) = c(2) = -1
+    table = spectrum._dot_counts(m)
+    for v, c in ((0, 2), (1, -1), (2, -1)):
+        rd = 2 * table[:, :, v] - table[:, :, (v + 1) % 3] - table[:, :, (v + 2) % 3]
+        assert rd.tolist() == [[c * kraw.krawtchouk(j, i, m) for j in range(m + 1)] for i in range(m + 1)]
+    # so the rd of a weight-symmetric F per class i is sum_j c(F_j)*K_j(i; m)
+    rng = np.random.default_rng(m)
+    values = rng.integers(0, 3, m + 1)
+    counts = spectrum._class_counts(values[None].astype(np.int8))[0]
+    rd = 2 * 3**m - 3 * (counts[0] + counts[1])
+    c = [2, -1, -1]
+    assert rd.tolist() == [sum(c[v] * kraw.krawtchouk(j, i, m) for j, v in enumerate(values)) for i in range(m + 1)]
+
+
+@pytest.mark.parametrize(
+    "edits, message",
+    [
+        # (member, row N1 or N2, class, change); members: the zero function and
+        # the constant 1 at m = 4, so class sizes are 1, 8, 24, 32, 16
+        ([(0, 0, 2, 1)], r"breaks sum_w N_lambda\(w\)"),
+        # the rest keep the sums weighted by class size: 8 at class 0 against 1 at class 1
+        ([(0, 0, 0, -8), (0, 0, 1, 1)], r"N1 or N2 negative"),
+        ([(1, 0, 0, 8), (1, 0, 1, -1)], r"N1 or N2 > 3\^m"),  # the constant's N1(0) = 3^m
+        ([(1, 1, 0, 8), (1, 1, 1, -1)], r"N1 \+ N2 > 3\^m"),  # its N2(0) = 0 gets 8
+    ],
+)
+def test_corrupted_class_count_raises(monkeypatch, edits, message):
+    class_counts = spectrum._class_counts
+
+    def corrupted(values):
+        counts = class_counts(values)
+        for member, row, i, change in edits:
+            counts[member, row, i] += change
+        return counts
+
+    monkeypatch.setattr(spectrum, "_class_counts", corrupted)
+    with pytest.raises(ConsistencyError, match=message):
+        count_spectra([_zeros(4), _constant(4, 1)])
