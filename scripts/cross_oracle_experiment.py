@@ -8,13 +8,15 @@ codeword pair.  It also compares the spectral complete weight enumerator
 with the one counted from all 9*3^m materialized codewords.  Any
 disagreement counts as a mismatch.
 
-Up to three families per m, each of ``--per-m`` pairs: weight-symmetric
-pairs, whose f and g depend only on wt(x) (their spectra take the weight-
-class transform), uniformly random pairs, and from m = 4 on few-coordinate
-pairs f(x) = h1(x_0, x_1), g(x) = h2(x_2, x_3).  Random pairs at m = 4-5
-are minimal and few-coordinate pairs are not; the weight-symmetric pairs
-at m = 4-5 give both.  The weight-symmetric tally is printed on its own
-line before the line of the other two.
+Up to three families per m from ``terncode.samples``, each of ``--per-m``
+pairs: weight-symmetric pairs (f and g depend only on wt(x), so their
+spectra take the weight-class transform), uniformly random pairs, and from
+m = 4 on few-coordinate pairs f(x) = h1(x_0, x_1), g(x) = h2(x_2, x_3).
+Random pairs at m = 4-5 are minimal, few-coordinate pairs are not, and
+weight-symmetric pairs give both.  The copy of each weight-symmetric pair
+under x_0 <- x_0 + x_1, whose spectra usually take the butterfly and the
+heavy-line scan, must get the same verdicts and CWE.  The weight-symmetric
+tally and its count of agreeing copies are printed on their own line first.
 
     python scripts/cross_oracle_experiment.py --per-m 500 --m 2 3 4 --seed 1
 """
@@ -25,54 +27,9 @@ import time
 import numpy as np
 
 from terncode import gf3
-from terncode.code import CompleteWeightEnumerator, codeword_rows, cwe, validate
-from terncode.errors import ValidationError
+from terncode.code import CompleteWeightEnumerator, codeword_rows, cwe
 from terncode.minimality import BRUTEFORCE_MAX_M, confirm_witness, is_minimal_bruteforce, spectral_check
-from terncode.spectrum import TernaryFunction
-
-
-# a sampler gives up after this many draws; at m >= 2 over half of them pass
-MAX_DRAWS = 1000
-
-
-def first_valid(m, draw):
-    """The first pair ``draw()`` returns that passes ``validate``."""
-    for _ in range(MAX_DRAWS):
-        try:
-            return validate(m, *draw())
-        except ValidationError:
-            continue
-    raise RuntimeError(f"no valid pair at m={m} in {MAX_DRAWS} draws")
-
-
-def random_valid_spec(m, rng):
-    return first_valid(m, lambda: (TernaryFunction.random(m, rng), TernaryFunction.random(m, rng)))
-
-
-def junta_spec(m, rng):
-    """A valid pair f(x) = h1(x_0, x_1), g(x) = h2(x_2, x_3) (m >= 4), for
-    random h1, h2 on F_3^2 vanishing at 0."""
-    digits = gf3.digits_table(m).astype(np.int64)
-
-    def draw():
-        h = rng.integers(0, 3, size=(2, 3, 3), dtype=np.int8)
-        h[:, 0, 0] = 0
-        return TernaryFunction(m, h[0][digits[0], digits[1]]), TernaryFunction(m, h[1][digits[2], digits[3]])
-
-    return first_valid(m, draw)
-
-
-def weight_symmetric_spec(m, rng):
-    """A valid pair f(x) = f_j, g(x) = g_j for wt(x) = j, with random class
-    values vanishing at j = 0."""
-    weights = gf3.weights_table(m)
-
-    def draw():
-        by_weight = rng.integers(0, 3, size=(2, m + 1), dtype=np.int8)
-        by_weight[:, 0] = 0
-        return TernaryFunction(m, by_weight[0][weights]), TernaryFunction(m, by_weight[1][weights])
-
-    return first_valid(m, draw)
+from terncode.samples import junta_spec, random_valid_spec, random_weight_symmetric_spec, scrambled_spec
 
 
 def materialized_cwe(spec) -> CompleteWeightEnumerator:
@@ -85,7 +42,7 @@ def materialized_cwe(spec) -> CompleteWeightEnumerator:
 
 def dimension(text: str) -> int:
     m = int(text)
-    # validate rejects every pair at m = 1, so the sampler would never stop
+    # validate rejects every pair at m = 1, so each sampler would give up
     if not 2 <= m <= BRUTEFORCE_MAX_M:
         raise argparse.ArgumentTypeError(f"m must be between 2 and {BRUTEFORCE_MAX_M}, got {m}")
     return m
@@ -102,18 +59,27 @@ def main() -> int:
     t0 = time.time()
     mismatches = 0
     for m in args.m:
-        families = [("weight-symmetric", weight_symmetric_spec), ("random", random_valid_spec)]
+        families = [("weight-symmetric", random_weight_symmetric_spec), ("random", random_valid_spec)]
         families += [("few-coordinate", junta_spec)] * (m >= 4)
         tallies = []
         for family, sample in families:
-            n_min = n_non = 0
+            n_min = n_non = n_copies = 0
             for _ in range(args.per_m):
                 spec = sample(m, rng)
-                if cwe(spec) != materialized_cwe(spec):
+                enum = cwe(spec)
+                if enum != materialized_cwe(spec):
                     mismatches += 1
                     print(f"MISMATCH at m={m} ({family}): spectral CWE differs from the materialized codewords")
                 bf = is_minimal_bruteforce(spec, max_witnesses=20)
                 t2 = spectral_check(spec)
+                if family == "weight-symmetric":
+                    copy = scrambled_spec(spec, [(0, 1, 1)])
+                    verdicts = (spectral_check(copy).minimal, is_minimal_bruteforce(copy).minimal)
+                    if verdicts == (t2.minimal, bf.minimal) and cwe(copy) == enum:
+                        n_copies += 1
+                    else:
+                        mismatches += 1
+                        print(f"MISMATCH at m={m} ({family}): the copy under x_0 <- x_0 + x_1 disagrees")
                 if bf.minimal != t2.minimal:
                     mismatches += 1
                     print(f"MISMATCH at m={m} ({family}): oracle={bf.minimal} spectral={t2.minimal}")
@@ -127,6 +93,8 @@ def main() -> int:
                             mismatches += 1
                             print(f"MISMATCH at m={m} ({family}): witness {w} does not cover")
             tallies.append(f"{family} {n_min} minimal, {n_non} non-minimal")
+            if family == "weight-symmetric":
+                tallies[-1] += f"; {n_copies} scrambled copies agree"
         print(f"m={m}: {tallies[0]}")
         print(f"m={m}: {'; '.join(tallies[1:])}; verdicts and CWEs checked")
     print(f"{mismatches} mismatches in {time.time() - t0:.1f}s")

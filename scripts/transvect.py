@@ -7,11 +7,8 @@ x_a + c*x_b mod 3 (a != b, c in {1, 2}).  T is linear and invertible, so
 transvecting f and g alike gives an equivalent code: the same weights, CWE
 and minimality.  A non-monomial T moves a weight-symmetric pair off the
 weight classes, so its spectra take the count butterfly and the heavy-line
-minimality path.
-
-The image index of x is x + ((x_a + c*x_b) mod 3 - x_a)*3^a, from two digit
-extractions of the index; no digit table is built.  The indices are taken
-in chunks, so the memory beyond the two tables stays small at m = 16.
+minimality path.  The table is ``terncode.samples.transvect``, which builds
+no digit table.
 
     python scripts/transvect.py --a 0 --b 1 f16.txt > f16t.txt
 """
@@ -19,24 +16,8 @@ in chunks, so the memory beyond the two tables stays small at m = 16.
 import argparse
 import sys
 
-import numpy as np
-
-from terncode import gf3
+from terncode.samples import transvect
 from terncode.spectrum import TernaryFunction
-
-CHUNK = 1 << 20  # indices per chunk
-
-
-def transvect(F: TernaryFunction, a: int, b: int, c: int) -> TernaryFunction:
-    """The function x -> F(x with x_a replaced by x_a + c*x_b)."""
-    n = gf3.pow3(F.m)
-    out = np.empty(n, np.int8)
-    for start in range(0, n, CHUNK):
-        x = np.arange(start, min(start + CHUNK, n), dtype=np.int64)
-        x_a = x // gf3.pow3(a) % 3
-        image = x + ((x_a + c * (x // gf3.pow3(b) % 3)) % 3 - x_a) * gf3.pow3(a)
-        out[start : start + x.size] = F.table[image]
-    return TernaryFunction(F.m, out)
 
 
 def main() -> int:

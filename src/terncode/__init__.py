@@ -9,6 +9,7 @@ Submodules:
 * :mod:`terncode.minimality` -- covering oracle and the spectral minimality criterion
 * :mod:`terncode.hwconstruct` -- the Hamming-weight-shell construction and closed forms
 * :mod:`terncode.cli` -- command-line front end
+* :mod:`terncode.samples` -- seeded sample pairs for the tests and scripts (not imported here)
 """
 
 from .code import CodeSpec, CompleteWeightEnumerator, WeightDistribution, validate

@@ -100,14 +100,19 @@ def admissible_params(m: int) -> list[HWParams]:
     return out
 
 
+def shell_tables(m: int, k1: int, k2: int) -> tuple[TernaryFunction, TernaryFunction]:
+    """The two shell characteristic functions at any (m, k1, k2), admissible or not."""
+    w = gf3.weights_table(m).astype(np.int16)
+    f_tab = (((w >= 1) & (w <= k2) & (w != k1))).astype(np.int8)
+    g_tab = np.zeros_like(f_tab)
+    g_tab[(w >= k1) & (w <= k2 - 1)] = 1
+    g_tab[w == k2] = 2
+    return TernaryFunction(m, f_tab), TernaryFunction(m, g_tab)
+
+
 def build_fg(p: HWParams) -> tuple[TernaryFunction, TernaryFunction]:
     """Materialize the two shell characteristic functions."""
-    w = gf3.weights_table(p.m).astype(np.int16)
-    f_tab = (((w >= 1) & (w <= p.k2) & (w != p.k1))).astype(np.int8)
-    g_tab = np.zeros_like(f_tab)
-    g_tab[(w >= p.k1) & (w <= p.k2 - 1)] = 1
-    g_tab[w == p.k2] = 2
-    return TernaryFunction(p.m, f_tab), TernaryFunction(p.m, g_tab)
+    return shell_tables(p.m, p.k1, p.k2)
 
 
 def build_spec(p: HWParams) -> CodeSpec:

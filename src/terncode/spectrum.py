@@ -66,10 +66,16 @@ class TernaryFunction:
 
     def __init__(self, m: int, table):
         gf3.check_dimension(m)
-        arr = np.asarray(table, dtype=np.int8).copy()
-        if arr.shape != (gf3.pow3(m),):
-            raise ValueError(f"table must have exactly 3^{m} = {gf3.pow3(m)} entries, got shape {arr.shape}")
-        if arr.min(initial=0) < 0 or arr.max(initial=0) > 2:
+        given = np.asarray(table)
+        if given.dtype.kind not in "biu":
+            raise ValueError("table entries must be integers")
+        if given.shape != (gf3.pow3(m),):
+            raise ValueError(f"table must have exactly 3^{m} = {gf3.pow3(m)} entries, got shape {given.shape}")
+        arr = given.astype(np.int8)  # a copy, even of an int8 table
+        # checked in the given dtype, where the cast would wrap 257 to 1, but a
+        # one-byte table after the cast, which maps 128-255 below 0
+        checked = arr if given.itemsize == 1 else given
+        if checked.min() < 0 or checked.max() > 2:
             raise ValueError("table entries must lie in {0, 1, 2}")
         arr.setflags(write=False)
         self.m = m

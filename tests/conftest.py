@@ -7,8 +7,8 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).parent))
 
 from terncode import gf3, minimality
-from terncode.code import FAMILY_NAMES, CodeSpec, codeword_rows, validate
-from terncode.errors import CapacityError, ValidationError
+from terncode.code import FAMILY_NAMES, CodeSpec, codeword_rows
+from terncode.errors import CapacityError
 from terncode.minimality import ALL_CONDITIONS, MAX_WITNESSES, PAIR_ALGEBRA, MinimalityVerdict
 from terncode.spectrum import CountSpectrum, TernaryFunction
 
@@ -46,93 +46,6 @@ def parseval_sum(sp: CountSpectrum) -> int:
 def all_codewords(spec: CodeSpec) -> np.ndarray:
     """All 3^(m+2) codewords, row (3u + r)*3^m + v holding c(u, r, v) (m <= 5)."""
     return codeword_rows(spec, np.arange(9 * gf3.pow3(spec.m)))
-
-
-# Rejection samplers give up after this many draws.  At m = 1 every pair
-# fails validate; at m >= 2 more than half the draws pass.
-MAX_DRAWS = 1000
-
-
-def _first_valid(m: int, draw) -> CodeSpec:
-    """The first ``draw()`` that does not raise ValidationError."""
-    for _ in range(MAX_DRAWS):
-        try:
-            return draw()
-        except ValidationError:
-            continue
-    raise RuntimeError(f"no valid pair at m={m} in {MAX_DRAWS} draws")
-
-
-def random_valid_spec(m: int, rng: np.random.Generator) -> CodeSpec:
-    """Rejection-sample a pair (f, g) satisfying the construction hypotheses."""
-    return _first_valid(m, lambda: validate(m, TernaryFunction.random(m, rng), TernaryFunction.random(m, rng)))
-
-
-def sparse_random_spec(m: int, rng: np.random.Generator, support: int = 3) -> CodeSpec:
-    """Rejection-sample a valid pair whose f is nonzero at ``support`` random
-    points and whose g is uniform.  The word of f has low weight and lies
-    inside many linear words, so such codes are in practice not minimal."""
-
-    def draw() -> CodeSpec:
-        f = np.zeros(gf3.pow3(m), dtype=np.int8)
-        f[rng.choice(np.arange(1, gf3.pow3(m)), size=support, replace=False)] = rng.integers(1, 3, size=support)
-        return validate(m, TernaryFunction(m, f), TernaryFunction.random(m, rng))
-
-    return _first_valid(m, draw)
-
-
-def junta_spec(m: int, rng: np.random.Generator) -> CodeSpec:
-    """Rejection-sample a valid pair f(x) = h1(x_0, x_1), g(x) = h2(x_2, x_3)
-    (m >= 4) for random h1, h2 on F_3^2 vanishing at 0.  Each spectrum lives
-    on a few shifts, so such pairs have many heavy points."""
-    digits = gf3.digits_table(m).astype(np.int64)
-
-    def draw() -> CodeSpec:
-        h = rng.integers(0, 3, size=(2, 3, 3), dtype=np.int8)
-        h[:, 0, 0] = 0
-        f = TernaryFunction(m, h[0][digits[0], digits[1]])
-        return validate(m, f, TernaryFunction(m, h[1][digits[2], digits[3]]))
-
-    return _first_valid(m, draw)
-
-
-def weight_symmetric_spec(m: int, f_by_weight, g_by_weight) -> CodeSpec:
-    """The code of f(x) = f_by_weight[wt(x)], g(x) = g_by_weight[wt(x)]."""
-    weights = gf3.weights_table(m)
-    f = TernaryFunction(m, np.asarray(f_by_weight)[weights])
-    g = TernaryFunction(m, np.asarray(g_by_weight)[weights])
-    return validate(m, f, g)
-
-
-def random_weight_symmetric_spec(m: int, rng: np.random.Generator) -> CodeSpec:
-    """Rejection-sample a valid pair whose f and g are functions of wt(x)."""
-
-    def draw() -> CodeSpec:
-        by_weight = rng.integers(0, 3, size=(2, m + 1))
-        by_weight[:, 0] = 0
-        return weight_symmetric_spec(m, *by_weight)
-
-    return _first_valid(m, draw)
-
-
-def shell_spec(m: int, k1: int, k2: int) -> CodeSpec:
-    """The Hamming-weight-shell pair of ``hwconstruct.build_fg``, at any m."""
-    f = [int(1 <= i <= k2 and i != k1) for i in range(m + 1)]
-    g = [1 if k1 <= i < k2 else 2 if i == k2 else 0 for i in range(m + 1)]
-    return weight_symmetric_spec(m, f, g)
-
-
-def scrambled_spec(spec: CodeSpec, a: np.ndarray) -> CodeSpec:
-    """The code of (f o A, g o A) for an invertible m x m matrix A over F_3.
-
-    It is permutation-equivalent to ``spec`` (same weights, CWE and
-    minimality), but for a non-monomial A its spectra are no longer
-    constant on Hamming-weight classes.
-    """
-    m = spec.m
-    digits = gf3.digits_table(m).astype(np.int64)
-    perm = ((a @ digits) % 3 * 3 ** np.arange(m)[:, None]).sum(axis=0)
-    return validate(m, TernaryFunction(m, spec.f.table[perm]), TernaryFunction(m, spec.g.table[perm]))
 
 
 def dict_cwe_terms(spec: CodeSpec) -> dict[tuple[int, int, int], int]:

@@ -30,9 +30,10 @@ from terncode.minimality import (
     is_minimal_bruteforce,
     spectral_check,
 )
+from terncode.samples import random_valid_spec
 from terncode.spectrum import TernaryFunction, fast_count_spectrum
 
-from conftest import dot_matrix, naive_count_spectrum, parseval_sum, random_valid_spec, reference_verdict
+from conftest import dot_matrix, naive_count_spectrum, parseval_sum, reference_verdict
 
 
 def _report(n: int, ok: bool, detail: str) -> None:

@@ -1,10 +1,15 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
-from terncode import cli
+from terncode import cli, code, minimality
 from terncode.cli import main
+from terncode.hwconstruct import HWParams, build_fg
+from terncode.samples import random_valid_spec, shell_spec, sparse_random_spec
+
+from conftest import reference_verdict
 
 # frozen valid pairs: the m=3 pair is minimal, the m=2 pair is not
 MINIMAL_F3 = "m=3\n011220211021100112220200110\n"
@@ -13,22 +18,22 @@ NONMIN_F2 = "m=2\n020002111\n"
 NONMIN_G2 = "m=2\n010221120\n"
 
 
+def write_pair(tmp_path, f_text: str, g_text: str, suffix: str = "") -> tuple[str, str]:
+    """Write two table files f<suffix>.txt and g<suffix>.txt; their paths."""
+    fp, gp = tmp_path / f"f{suffix}.txt", tmp_path / f"g{suffix}.txt"
+    fp.write_text(f_text)
+    gp.write_text(g_text)
+    return str(fp), str(gp)
+
+
 @pytest.fixture
 def pair3(tmp_path):
-    fp = tmp_path / "f.txt"
-    gp = tmp_path / "g.txt"
-    fp.write_text(MINIMAL_F3)
-    gp.write_text(MINIMAL_G3)
-    return str(fp), str(gp)
+    return write_pair(tmp_path, MINIMAL_F3, MINIMAL_G3)
 
 
 @pytest.fixture
 def pair2(tmp_path):
-    fp = tmp_path / "f2.txt"
-    gp = tmp_path / "g2.txt"
-    fp.write_text(NONMIN_F2)
-    gp.write_text(NONMIN_G2)
-    return str(fp), str(gp)
+    return write_pair(tmp_path, NONMIN_F2, NONMIN_G2, "2")
 
 
 def run(capsys, *argv):
@@ -164,13 +169,8 @@ RANDOM6_SHA256 = {
 
 
 def test_enumerator_stdout_on_a_random_pair_is_pinned(capsys, tmp_path):
-    import numpy as np
-    from conftest import random_valid_spec
-
     spec = random_valid_spec(6, np.random.default_rng(0))
-    fp, gp = tmp_path / "f6.txt", tmp_path / "g6.txt"
-    fp.write_text(spec.f.to_text())
-    gp.write_text(spec.g.to_text())
+    fp, gp = write_pair(tmp_path, spec.f.to_text(), spec.g.to_text(), "6")
     for (cmd, fmt), digest in RANDOM6_SHA256.items():
         rc, out = run(capsys, cmd, "--f", str(fp), "--g", str(gp), "--format", fmt)
         assert rc == 0
@@ -180,11 +180,6 @@ def test_enumerator_stdout_on_a_random_pair_is_pinned(capsys, tmp_path):
 # 3: a list spans several chunks, and one ends on a chunk boundary
 @pytest.mark.parametrize("chunk", [cli._ROW_CHUNK, 3])
 def test_result_json_rows_match_json_dumps(capsys, monkeypatch, chunk):
-    import numpy as np
-    from conftest import random_valid_spec
-
-    from terncode import code
-
     monkeypatch.setattr(cli, "_ROW_CHUNK", chunk)
     rng = np.random.default_rng(8)
     objs = []
@@ -274,14 +269,8 @@ def test_minimality_rejects_nan_or_negative_budget(capsys, pair3, budget):
 
 @pytest.mark.parametrize("extra", [[], ["--exhaustive"]])
 def test_minimality_orbit_path_stdout_matches_naive_reference(capsys, tmp_path, monkeypatch, extra):
-    from conftest import reference_verdict, shell_spec
-    from terncode import minimality
-
     spec = shell_spec(5, 2, 4)  # weight-symmetric and minimal: certified by the orbit pre-check
-    fp = tmp_path / "f5.txt"
-    gp = tmp_path / "g5.txt"
-    fp.write_text(spec.f.to_text())
-    gp.write_text(spec.g.to_text())
+    fp, gp = write_pair(tmp_path, spec.f.to_text(), spec.g.to_text(), "5")
     argv = ["minimality", "--f", str(fp), "--g", str(gp), *extra]
     orbit = run(capsys, *argv)
     assert orbit[0] == 0
@@ -294,14 +283,8 @@ def test_minimality_orbit_path_stdout_matches_naive_reference(capsys, tmp_path, 
 
 
 def test_minimality_exhaustive_notes_the_witness_cap(capsys, tmp_path, pair2):
-    import numpy as np
-    from conftest import sparse_random_spec
-    from terncode import minimality
-
     spec = sparse_random_spec(6, np.random.default_rng(5))  # 3,022 violations
-    fp, gp = tmp_path / "f6.txt", tmp_path / "g6.txt"
-    fp.write_text(spec.f.to_text())
-    gp.write_text(spec.g.to_text())
+    fp, gp = write_pair(tmp_path, spec.f.to_text(), spec.g.to_text(), "6")
     assert main(["minimality", "--f", str(fp), "--g", str(gp), "--exhaustive"]) == 1
     captured = capsys.readouterr()
     verdict = minimality.spectral_check(spec, exhaustive=True)
@@ -316,13 +299,8 @@ def test_minimality_exhaustive_notes_the_witness_cap(capsys, tmp_path, pair2):
 def test_minimality_nonminimal_stdout_is_pinned(capsys, tmp_path, pair2):
     # the witnesses and check counts follow the scan order of
     # terncode.minimality, which these digests fix byte for byte
-    import numpy as np
-    from conftest import sparse_random_spec
-
     spec = sparse_random_spec(6, np.random.default_rng(5))  # decided on the heavy lines
-    fp, gp = tmp_path / "f6.txt", tmp_path / "g6.txt"
-    fp.write_text(spec.f.to_text())
-    gp.write_text(spec.g.to_text())
+    fp, gp = write_pair(tmp_path, spec.f.to_text(), spec.g.to_text(), "6")
     runs = [
         (["--method", "both", "--f", pair2[0], "--g", pair2[1]],
          "2c041fa4c8753ec6e50f571811767c41ccf963d3ed03a4b211994d8aa574517e"),
@@ -339,27 +317,15 @@ def test_minimality_nonminimal_stdout_is_pinned(capsys, tmp_path, pair2):
 
 def test_minimality_oracle_capacity(capsys, tmp_path):
     # the brute-force oracle refuses m > 5
-    from terncode.hwconstruct import HWParams, build_fg
-
-    f, g = build_fg(HWParams(9, 2, 4))
-    fp = tmp_path / "f9.txt"
-    gp = tmp_path / "g9.txt"
-    fp.write_text(f.to_text())
-    gp.write_text(g.to_text())
+    fp, gp = write_pair(tmp_path, *(F.to_text() for F in build_fg(HWParams(9, 2, 4))), "9")
     rc, out = run(capsys, "minimality", "--method", "oracle", "--f", str(fp), "--g", str(gp))
     assert rc == 3
     assert json.loads(out)["error"] == "capacity"
 
 
 def test_minimality_both_refuses_m6_before_the_spectral_check(capsys, tmp_path, monkeypatch):
-    import numpy as np
-    from conftest import sparse_random_spec
-    from terncode import minimality
-
     spec = sparse_random_spec(6, np.random.default_rng(5))
-    fp, gp = tmp_path / "f6.txt", tmp_path / "g6.txt"
-    fp.write_text(spec.f.to_text())
-    gp.write_text(spec.g.to_text())
+    fp, gp = write_pair(tmp_path, spec.f.to_text(), spec.g.to_text(), "6")
     oracle = run(capsys, "minimality", "--method", "oracle", "--f", str(fp), "--g", str(gp))
     assert oracle[0] == 3 and json.loads(oracle[1])["error"] == "capacity"
 

@@ -21,19 +21,16 @@ from terncode.code import (
     weights_csv,
 )
 from terncode.errors import CapacityError, ConsistencyError, ValidationError
-from terncode.spectrum import CountSpectrum, TernaryFunction, combine, fast_count_spectrum
-
-from conftest import (
-    all_codewords,
-    dict_cwe_terms,
-    dict_weight_marginal,
-    dot_matrix,
+from terncode.samples import (
     random_valid_spec,
     random_weight_symmetric_spec,
     scrambled_spec,
     shell_spec,
     sparse_random_spec,
 )
+from terncode.spectrum import CountSpectrum, TernaryFunction, combine, fast_count_spectrum
+
+from conftest import all_codewords, dict_cwe_terms, dict_weight_marginal, dot_matrix
 
 
 def test_ur_family_table_is_the_function_algebra():
@@ -250,9 +247,8 @@ def test_cwe_matches_materialization():
 
 @pytest.mark.parametrize("m", [4, 5])
 def test_enumerators_match_materialization_on_scrambled_shell(m):
-    a = np.eye(m, dtype=np.int64)
-    a[0, 1] = a[1, 2] = 1
-    spec = scrambled_spec(shell_spec(m, 2, 4), a)
+    # x -> A x with A = I + E_01 + E_12: x_0 <- x_0 + x_1 after x_1 <- x_1 + x_2
+    spec = scrambled_spec(shell_spec(m, 2, 4), [(1, 2, 1), (0, 1, 1)])
     # no member's (N1, N2) multiset is swap-symmetric, so an enumerator that
     # mishandled the N1/N2 swap of the sign -1 terms would disagree
     for sp in spec.spectra.values():
@@ -265,19 +261,13 @@ def test_enumerators_match_materialization_on_scrambled_shell(m):
     assert weight_distribution(spec).entries == weights
 
 
-def _unitriangular(m):
-    """An invertible m x m matrix over F_3 that is not monomial (m >= 2)."""
-    a = np.eye(m, dtype=np.int64)
-    a[np.arange(m - 1), np.arange(1, m)] = 1
-    return a
-
-
 CWE_PAIRS = {
     "random": lambda m, rng: random_valid_spec(m, rng),
     "sparse": lambda m, rng: sparse_random_spec(m, rng),
     "weight-symmetric": lambda m, rng: random_weight_symmetric_spec(m, rng),
     "shell": lambda m, rng: shell_spec(m, 2, 4),
-    "scrambled": lambda m, rng: scrambled_spec(shell_spec(m, 2, 4), _unitriangular(m)),
+    # x -> A x for A = I + E_01 + E_12 + ... + E_(m-2,m-1), invertible and not monomial
+    "scrambled": lambda m, rng: scrambled_spec(shell_spec(m, 2, 4), [(i, i + 1, 1) for i in range(m - 2, -1, -1)]),
 }
 
 
@@ -331,7 +321,7 @@ def _spec_with_spectrum(spec, name, sp):
 def test_cwe_rejects_a_negative_exponent():
     # F = 1 has N0 = 0 at w = 0, so its term there would have t0 = N0 - 1 = -1
     spec = random_valid_spec(3, np.random.default_rng(13))
-    one = fast_count_spectrum(TernaryFunction(3, np.ones(27)))
+    one = fast_count_spectrum(TernaryFunction(3, np.ones(27, np.int8)))
     with pytest.raises(ConsistencyError, match="negative"):
         cwe(_spec_with_spectrum(spec, "f", one))
 

@@ -8,8 +8,9 @@ from terncode.code import cwe, weight_distribution
 from terncode.errors import CapacityError
 from terncode.hwconstruct import HWParams, build_spec
 from terncode.minimality import spectral_check
+from terncode.samples import junta_spec, scrambled_spec, shell_spec, sparse_random_spec
 
-from conftest import dot_matrix, shell_spec, sparse_random_spec
+from conftest import dot_matrix
 
 
 def test_dimension_cap():
@@ -63,7 +64,7 @@ def test_perm_tables_consistency():
 
 
 def test_pipeline_builds_no_digits_table(monkeypatch):
-    """No path that grows with m builds the (m, 3^m) digits table, even from cold caches.
+    """No path that grows with m, nor a junta or scrambled sample, builds the digits table, even from cold caches.
 
     The weight-symmetric transform starts no thread either, at m = 11 too,
     where the butterfly would run on two.
@@ -80,7 +81,9 @@ def test_pipeline_builds_no_digits_table(monkeypatch):
     spectral_check(spec, per_condition=True)
     weight_distribution(spec)
     cwe(spec)
-    for s in (shell_spec(8, 2, 4), sparse_random_spec(6, np.random.default_rng(5))):
+    rng = np.random.default_rng(5)
+    specs = [shell_spec(8, 2, 4), sparse_random_spec(6, rng), junta_spec(6, rng)]
+    for s in (*specs, scrambled_spec(specs[0], [(0, 1, 1), (3, 2, 2)])):
         for mode in ({}, {"per_condition": True}, {"exhaustive": True}):
             spectral_check(s, **mode)
     assert gf3.digits_table.cache_info().currsize == 0

@@ -1,11 +1,13 @@
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from terncode import gf3, minimality
+from terncode import gf3, minimality, samples
+from terncode.code import validate
 from terncode.errors import CapacityError, ConsistencyError
 from terncode.minimality import (
     ALL_CONDITIONS,
@@ -17,30 +19,27 @@ from terncode.minimality import (
     orbit_violations,
     spectral_check,
 )
-from terncode.spectrum import TernaryFunction, combine
-
-from conftest import (
-    all_codewords,
+from terncode.samples import (
+    MAX_DRAWS,
+    first_valid,
     junta_spec,
-    naive_violations,
     random_valid_spec,
     random_weight_symmetric_spec,
-    reference_verdict,
     scrambled_spec,
     shell_spec,
     sparse_random_spec,
     weight_symmetric_spec,
 )
+from terncode.spectrum import TernaryFunction, combine
+
+from conftest import all_codewords, naive_violations, reference_verdict
 
 MODES = ({}, {"per_condition": True}, {"exhaustive": True, "max_witnesses": 50})
 
 
-def nonmonomial(m: int) -> np.ndarray:
-    """An invertible m x m matrix that is not monomial: ``scrambled_spec``
-    with it breaks the weight symmetry of the spectra."""
-    a = np.eye(m, dtype=np.int64)
-    a[0, 1] = 1
-    return a
+# x_0 <- x_0 + x_1, i.e. the matrix I + E_01: it is not monomial, so
+# ``scrambled_spec`` with it breaks the weight symmetry of the spectra
+NONMONOMIAL = [(0, 1, 1)]
 
 
 words3 = st.lists(st.integers(min_value=0, max_value=2), min_size=1, max_size=12)
@@ -102,11 +101,18 @@ def test_pair_algebra_is_the_function_algebra():
         assert np.array_equal((t1 - t2) % 3, resolve(diff_key))
 
 
-@pytest.mark.parametrize("sampler", [random_valid_spec, random_weight_symmetric_spec])
-def test_samplers_give_up_at_m1(sampler):
-    # validate rejects every pair at m = 1
-    with pytest.raises(RuntimeError, match="no valid pair"):
+# m = 1 has two nonzero points, fewer than the sparse sampler's default support of 3
+SPARSE_AT_M1 = pytest.param(partial(sparse_random_spec, support=1), id="sparse_random_spec")
+
+
+@pytest.mark.parametrize("sampler", [random_valid_spec, SPARSE_AT_M1, junta_spec, random_weight_symmetric_spec])
+def test_samplers_give_up_at_m1(monkeypatch, sampler):
+    # validate rejects every pair at m = 1: each sampler stops after MAX_DRAWS draws
+    draws = []
+    monkeypatch.setattr(samples, "validate", lambda *args: draws.append(args) or validate(*args))
+    with pytest.raises(RuntimeError, match=f"no valid pair at m=1 in {MAX_DRAWS} draws"):
         sampler(1, np.random.default_rng(0))
+    assert len(draws) == MAX_DRAWS
 
 
 def test_bruteforce_capacity():
@@ -312,7 +318,7 @@ def test_spectral_budget():
         shell_spec(5, 2, 4),
         random_valid_spec(6, np.random.default_rng(55)),
         # not weight-symmetric: the heavy-line path must not start
-        scrambled_spec(shell_spec(5, 2, 4), nonmonomial(5)),
+        scrambled_spec(shell_spec(5, 2, 4), NONMONOMIAL),
     )
     for spec in specs:
         with pytest.raises(CapacityError) as exc:
@@ -345,21 +351,10 @@ def test_verdict_flag_matches_witnesses(seed):
 def test_single_bump_witness_matches_naive_reference():
     # a single-bump f guarantees a covering violation (its weight-1 word
     # sits inside most linear words)
-    import terncode.code as code_mod
-    from terncode.errors import ValidationError
-
     m = 6
     rng = np.random.default_rng(606)
-    f_tab = np.zeros(3**m, dtype=np.int8)
-    f_tab[5] = 1
-    f = TernaryFunction(m, f_tab)
-    while True:
-        g = TernaryFunction.random(m, rng)
-        try:
-            spec = code_mod.validate(m, f, g)
-            break
-        except ValidationError:
-            continue
+    f = TernaryFunction(m, np.arange(3**m) == 5)
+    spec = first_valid(m, lambda: validate(m, f, TernaryFunction.random(m, rng)))
     verdict = spectral_check(spec)
     assert verdict.minimal is False
     assert reference_verdict(spec).witnesses == verdict.witnesses
@@ -380,7 +375,7 @@ def test_spectral_modes_follow_naive_scan_order():
     spec = random_weight_symmetric_spec(4, rng)
     while not orbit_violations(spec):
         spec = random_weight_symmetric_spec(4, rng)
-    specs += [spec, scrambled_spec(spec, nonmonomial(4))]
+    specs += [spec, scrambled_spec(spec, NONMONOMIAL)]
     seen = set()
     for spec in specs:
         violations = naive_violations(spec)
@@ -430,7 +425,7 @@ def test_scrambled_shell_is_not_weight_symmetric(m):
     # (f o A, g o A) for an invertible non-monomial A: an equivalent code
     # whose spectra are no longer constant on weight classes
     shell = shell_spec(m, 2, 4)
-    scrambled = scrambled_spec(shell, nonmonomial(m))
+    scrambled = scrambled_spec(shell, NONMONOMIAL)
     assert orbit_violations(scrambled) is None
     assert spectral_check(scrambled).to_json_obj() == spectral_check(shell).to_json_obj()
 
@@ -455,8 +450,8 @@ def test_heavy_lines_match_naive_oracle(monkeypatch, line_batch):
     for m in (4, 5):
         for _ in range(3):
             spec = random_weight_symmetric_spec(m, rng)
-            specs += [spec, scrambled_spec(spec, nonmonomial(m))]
-    specs += [scrambled_spec(shell_spec(m, 2, 4), nonmonomial(m)) for m in (5, 6)]
+            specs += [spec, scrambled_spec(spec, NONMONOMIAL)]
+    specs += [scrambled_spec(shell_spec(m, 2, 4), NONMONOMIAL) for m in (5, 6)]
     # triple-plus holds at (v1, v2, v3) = (27, 0, 54): v2 has the low digits
     # of v1 but lies outside v1's block of the scan order
     specs.append(weight_symmetric_spec(4, [0, 0, 2, 0, 2], [0, 0, 2, 0, 1]))
@@ -482,9 +477,9 @@ def test_heavy_path_json_matches_naive_reference():
         spec = random_weight_symmetric_spec(m, rng)
         while orbit_violations(spec) == set():
             spec = random_weight_symmetric_spec(m, rng)
-        specs.append(scrambled_spec(spec, nonmonomial(m)))
+        specs.append(scrambled_spec(spec, NONMONOMIAL))
     minimal = [
-        scrambled_spec(shell_spec(6, 2, 4), nonmonomial(6)),
+        scrambled_spec(shell_spec(6, 2, 4), NONMONOMIAL),
         random_valid_spec(6, np.random.default_rng(55)),  # no heavy point at all
     ]
     for spec in [*specs, *minimal]:

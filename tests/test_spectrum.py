@@ -5,9 +5,10 @@ import pytest
 
 from terncode import gf3, hwconstruct, kraw, spectrum
 from terncode.errors import CapacityError, ConsistencyError
+from terncode.samples import random_weight_symmetric_spec, shell_spec
 from terncode.spectrum import CountSpectrum, TernaryFunction, combine, count_spectra, fast_count_spectrum
 
-from conftest import dot_matrix, naive_count_spectrum, parseval_sum, random_weight_symmetric_spec, shell_spec
+from conftest import dot_matrix, naive_count_spectrum, parseval_sum
 
 
 def _butterfly(F):
@@ -33,6 +34,19 @@ def test_table_validation():
         TernaryFunction(2, [0] * 8)
     with pytest.raises(ValueError):
         TernaryFunction(1, [0, 1, 3])
+    for dtype in (bool, np.uint8, np.int64, np.uint64):  # any integer table becomes a read-only int8 copy
+        F = TernaryFunction(1, np.array([0, 1, 0], dtype=dtype))
+        assert F.table.dtype == np.int8 and F.table.tolist() == [0, 1, 0] and not F.table.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "table",
+    [[0, 257, 1], [0, -255, 1], np.uint8([0, 255, 1]), [0.0, 1.7, 2.2], [0.0, 1.0, 2.0], [0j, 1, 2], [0, 1, None]],
+)
+def test_table_checks_its_entries_before_the_int8_cast(table):
+    # the cast would read 257 and -255 as 1, 255 as -1 and 1.7 as 1; [0, 1, None] has dtype object
+    with pytest.raises(ValueError, match="must lie in|must be integers"):
+        TernaryFunction(1, np.array(table))
 
 
 def test_text_round_trip():
@@ -371,11 +385,6 @@ def test_combine_matches_pointwise():
 # ---------------------------------------------------------------------------
 
 
-def _by_weight(m, values):
-    """The function x -> values[wt(x)]."""
-    return TernaryFunction(m, np.asarray(values)[gf3.weights_table(m)])
-
-
 def _butterfly_calls(monkeypatch):
     """Wrap ``_butterfly_spectra`` to record each call's member count."""
     butterfly, calls = spectrum._butterfly_spectra, []
@@ -407,7 +416,8 @@ def _assert_class_path_is_exact(monkeypatch, members):
 def test_class_path_equals_butterfly_on_random_weight_symmetric(monkeypatch, m):
     rng = np.random.default_rng(80 + m)
     # any class values, F(0) != 0 included, then ten valid pairs (none exists at m = 1)
-    _assert_class_path_is_exact(monkeypatch, [_by_weight(m, rng.integers(0, 3, m + 1)) for _ in range(5)])
+    members = [TernaryFunction(m, rng.integers(0, 3, m + 1)[gf3.weights_table(m)]) for _ in range(5)]
+    _assert_class_path_is_exact(monkeypatch, members)
     for _ in range(10 if m > 1 else 0):
         spec = random_weight_symmetric_spec(m, rng)
         _assert_class_path_is_exact(monkeypatch, list(spec.family.values()))
